@@ -29,13 +29,14 @@ from .invariants import (
     three_tangle,
 )
 from .reporting import render_json
-from .spectra import enumerate_fonts, global_negativity, kway_negativity
+from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .states import (
     MAX_QUBITS,
     PureState,
     cluster4,
     density,
     ghz,
+    parse_qubit,
     product_state,
     random_state,
     state_from_payload,
@@ -66,17 +67,10 @@ def _fail_usage(message: str) -> CliError:
 
 
 def _parse_qubit(text: str, n: int) -> int:
-    text = text.strip()
-    if len(text) == 1 and text.upper().isalpha():
-        p = ord(text.upper()) - ord("A") + 1
-    else:
-        try:
-            p = int(text)
-        except ValueError:
-            raise _fail_usage(f"invalid qubit {text!r}") from None
-    if not 1 <= p <= n:
-        raise _fail_usage(f"qubit {text!r} out of range for an {n}-qubit state")
-    return p
+    try:
+        return parse_qubit(text, n)
+    except ValueError as exc:
+        raise _fail_usage(str(exc)) from None
 
 
 def _parse_complex_pair(re_text: str, im_text: str, what: str) -> complex:
@@ -147,17 +141,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _font_record(font) -> dict:
-    return {
-        "i": font.i.string,
-        "j": font.j.string,
-        "p": font.p,
-        "k": font.k,
-        "det_re": float(font.det.real),
-        "det_im": float(font.det.imag),
-        "lambda_minus": font.lambda_minus,
-        "negligible": font.negligible,
-    }
+def _font_records(fonts: Fonts, n: int) -> list[dict]:
+    label = f"0{n}b"
+    columns = (fonts.i, fonts.j, fonts.k, fonts.det, fonts.lambda_minus, fonts.negligible)
+    return [
+        {
+            "i": format(i, label),
+            "j": format(j, label),
+            "p": fonts.p,
+            "k": k,
+            "det_re": det.real,
+            "det_im": det.imag,
+            "lambda_minus": lambda_minus,
+            "negligible": negligible,
+        }
+        for i, j, k, det, lambda_minus, negligible in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -205,7 +204,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     for p, k in sorted(kway_pairs):
         report[f"kway_q{p}_k{k}"] = kway_negativity(state, p, k)
     for p in font_qubits:
-        report[f"fonts_q{p}"] = [_font_record(f) for f in enumerate_fonts(state, p)]
+        report[f"fonts_q{p}"] = _font_records(enumerate_fonts(state, p), n)
 
     sys.stdout.write(render_json(report) + "\n")
     return EXIT_OK
@@ -241,16 +240,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if len(parts) != 3:
             raise _fail_usage(f"--covariance expects Q,RE,IM, got {args.covariance!r}")
         param = _parse_complex_pair(parts[1], parts[2], "--covariance parameter")
-        if n == 3:
-            qubit = _parse_qubit(parts[0], n)
-            if qubit != 2:
-                raise _fail_usage("three-qubit covariance relations are stated for qubit B")
-            checks = covariance_check_3(state, param)
-        elif n == 4:
-            qubit = _parse_qubit(parts[0], n)
-            checks = covariance_check_4(state, qubit, param)
-        else:
+        if n not in (3, 4):
             raise _fail_usage(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
+        qubit = _parse_qubit(parts[0], n)
+        if n == 4:
+            checks = covariance_check_4(state, qubit, param)
+        elif qubit == 2:
+            checks = covariance_check_3(state, param)
+        else:
+            raise _fail_usage("three-qubit covariance relations are stated for qubit B")
         report["covariance"] = [
             {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
             for c in checks

@@ -2,11 +2,11 @@
 
 For a fixed leading qubit the amplitudes of an n-qubit state form a
 2 x 2**(n-1) matrix, and every font determinant below is a 2x2 minor of it,
-evaluated directly from the amplitudes.  The three-tangle and four-tangle
-are polynomial combinations of those minors that stay invariant under
-single-qubit unitaries; ``covariance_check_3`` and ``covariance_check_4``
-verify numerically how the individual minors transform on their way to
-that invariance.
+read off the minor matrix that ``spectra.font_minors`` returns for qubit A.
+The three-tangle and four-tangle are polynomial combinations of those minors
+that stay invariant under single-qubit unitaries; ``covariance_check_3`` and
+``covariance_check_4`` verify numerically how the individual minors
+transform on their way to that invariance.
 """
 from __future__ import annotations
 
@@ -19,16 +19,15 @@ from .states import (
     PureState,
     apply_local_unitary,
     haar_unitary,
+    parse_qubit,
     reduced_density,
     su2_rotation,
 )
-from .spectra import concurrence_2q, global_negativity
+from .spectra import concurrence_2q, font_minors, global_negativity
 
 # primary and alternate tangle forms are equal by an exact determinant
 # identity; disagreement beyond this signals an amplitude-indexing bug
 _ALT_FORM_TOL = 1e-8
-
-_QUBIT_LETTERS = {"A": 1, "B": 2, "C": 3, "D": 4}
 
 
 @dataclass(frozen=True)
@@ -71,20 +70,12 @@ class CovarianceReport:
 def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
     if state.n_qubits != 3:
         raise ValueError(f"requires a 3-qubit state, got n = {state.n_qubits}")
-    a = state.amplitude
+    # d[u][v] pairs A = 0 with BC bits u and A = 1 with BC bits v
+    d = font_minors(state, 1).tolist()
     return ThreeQubitFonts(
-        three_way=(
-            a("000") * a("111") - a("011") * a("100"),
-            a("001") * a("110") - a("010") * a("101"),
-        ),
-        b_fixed=(
-            a("000") * a("101") - a("001") * a("100"),
-            a("010") * a("111") - a("011") * a("110"),
-        ),
-        c_fixed=(
-            a("000") * a("110") - a("010") * a("100"),
-            a("001") * a("111") - a("011") * a("101"),
-        ),
+        three_way=(d[0][3], d[1][2]),
+        b_fixed=(d[0][1], d[2][3]),
+        c_fixed=(d[0][2], d[1][3]),
     )
 
 
@@ -203,24 +194,12 @@ def covariance_check_3(state: PureState, x: complex) -> list[CovarianceReport]:
 def four_qubit_fonts(state: PureState) -> FourQubitFonts:
     if state.n_qubits != 4:
         raise ValueError(f"requires a 4-qubit state, got n = {state.n_qubits}")
-    a = state.amplitude
-
-    def four_way(i3: int, i4: int) -> complex:
-        return a(f"00{i3}{i4}") * a(f"11{1 - i3}{1 - i4}") - a(f"01{1 - i3}{1 - i4}") * a(
-            f"10{i3}{i4}"
-        )
-
-    def c_fixed(i3: int, i4: int) -> complex:
-        return a(f"00{i3}{i4}") * a(f"11{i3}{1 - i4}") - a(f"01{i3}{1 - i4}") * a(f"10{i3}{i4}")
-
-    def b_fixed(i2: int, i4: int) -> complex:
-        return a(f"0{i2}0{i4}") * a(f"1{i2}1{1 - i4}") - a(f"0{i2}1{1 - i4}") * a(f"1{i2}0{i4}")
-
-    grid = ((0, 0), (0, 1)), ((1, 0), (1, 1))
+    # d[u][v] pairs A = 0 with BCD bits u and A = 1 with BCD bits v
+    d = font_minors(state, 1).tolist()
     return FourQubitFonts(
-        four_way=tuple(tuple(four_way(i, j) for i, j in row) for row in grid),
-        three_way_c=tuple(tuple(c_fixed(i, j) for i, j in row) for row in grid),
-        three_way_b=tuple(tuple(b_fixed(i, j) for i, j in row) for row in grid),
+        four_way=((d[0][7], d[1][6]), (d[2][5], d[3][4])),
+        three_way_c=((d[0][5], d[1][4]), (d[2][7], d[3][6])),
+        three_way_b=((d[0][3], d[1][2]), (d[4][7], d[5][6])),
     )
 
 
@@ -239,18 +218,6 @@ def four_tangle(state: PureState) -> float:
     return 4.0 * abs(four_invariant(state)) ** 2
 
 
-# candidate prefactors tried for each four-qubit relation; the report keeps
-# whichever yields the smallest residual
-def _prefactor_candidates(param: complex) -> tuple[float, float, float]:
-    scale = 1.0 + abs(param) ** 2
-    return (1.0, 1.0 / scale, 1.0 / np.sqrt(scale))
-
-
-def _best_fit(relation: str, lhs: complex, rhs: complex, param: complex) -> CovarianceReport:
-    best = min(_prefactor_candidates(param), key=lambda c: abs(lhs - c * rhs))
-    return CovarianceReport(relation, abs(lhs - best * rhs), best)
-
-
 def covariance_check_4(
     state: PureState, qubit: str | int, param: complex
 ) -> list[CovarianceReport]:
@@ -258,19 +225,13 @@ def covariance_check_4(
 
     Qubit D and B admit both sign combinations of their font differences
     (sums, for B); qubit C the plus combination; a rotation on qubit A
-    leaves every 4-way font unchanged individually.  Each relation is fitted
-    against candidate prefactors and |four_invariant| must be preserved.
+    leaves every 4-way font unchanged individually.  su2_rotation has unit
+    determinant, so the minors transform exactly: every relation holds with
+    prefactor 1.0, and |four_invariant| must be preserved.
     """
     if state.n_qubits != 4:
         raise ValueError(f"requires a 4-qubit state, got n = {state.n_qubits}")
-    if isinstance(qubit, str):
-        target = _QUBIT_LETTERS.get(qubit.upper())
-        if target is None:
-            raise ValueError(f"unknown qubit label {qubit!r}")
-    elif qubit in (1, 2, 3, 4):
-        target = int(qubit)
-    else:
-        raise ValueError(f"unknown qubit label {qubit!r}")
+    target = parse_qubit(qubit, 4)
 
     param = complex(param)
     base = four_qubit_fonts(state)
@@ -281,38 +242,33 @@ def covariance_check_4(
     diff = (f[0][1] - f[0][0], f[1][0] - f[1][1])
     diff_p = (g[0][1] - g[0][0], g[1][0] - g[1][1])
 
-    reports: list[CovarianceReport]
+    # (relation, rotated side, unrotated side), each an exact equality
     if target == 4:
-        reports = [
-            _best_fit("d_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1], param),
-            _best_fit("d_rotation_combo_minus", diff_p[0] - diff_p[1], diff[0] - diff[1], param),
+        relations = [
+            ("d_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
+            ("d_rotation_combo_minus", diff_p[0] - diff_p[1], diff[0] - diff[1]),
         ]
     elif target == 3:
-        reports = [
-            _best_fit("c_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1], param),
+        relations = [
+            ("c_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
         ]
     elif target == 2:
         sums = (f[0][1] + f[1][0], f[0][0] + f[1][1])
         sums_p = (g[0][1] + g[1][0], g[0][0] + g[1][1])
-        reports = [
-            _best_fit("b_rotation_combo_plus", sums_p[0] + sums_p[1], sums[0] + sums[1], param),
-            _best_fit("b_rotation_combo_minus", sums_p[0] - sums_p[1], sums[0] - sums[1], param),
+        relations = [
+            ("b_rotation_combo_plus", sums_p[0] + sums_p[1], sums[0] + sums[1]),
+            ("b_rotation_combo_minus", sums_p[0] - sums_p[1], sums[0] - sums[1]),
         ]
     else:
-        reports = [
-            _best_fit(f"a_rotation_four_way_{i3}{i4}", g[i3][i4], f[i3][i4], param)
+        relations = [
+            (f"a_rotation_four_way_{i3}{i4}", g[i3][i4], f[i3][i4])
             for i3 in (0, 1)
             for i4 in (0, 1)
         ]
-
-    reports.append(
-        CovarianceReport(
-            "four_invariant_magnitude",
-            abs(abs(_invariant_of(primed)) - abs(_invariant_of(base))),
-            1.0,
-        )
+    relations.append(
+        ("four_invariant_magnitude", abs(_invariant_of(primed)), abs(_invariant_of(base)))
     )
-    return reports
+    return [CovarianceReport(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
 
 
 def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:

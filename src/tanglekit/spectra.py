@@ -8,8 +8,11 @@ negative eigenvalue is -|det nu| where nu is the 2x2 amplitude matrix
     [[a_i,          a_{j, p-flipped}],
      [a_{i, p-flipped}, a_j        ]]
 
-so fonts are enumerated here directly from amplitude determinants, while
-the negativities proper go through the dense Hermitian eigensolver.
+Each such nu is a 2x2 minor of qubit p's 2 x 2**(n-1) amplitude matrix, and
+``font_minors`` computes all of them at once.  The fonts, the 2-qubit font
+negativity and the global negativity (a closed form over the minors, by
+Cauchy-Binet) derive from it; K-way negativities are not font sums and go
+through the dense Hermitian eigensolver.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BasisIndex, DensityOperator, PureState, density
-from .transpose import global_pt, kway_pt
+from .states import DensityOperator, PureState, density
+from .transpose import kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
 NEG_EIG_TOL = 1e-12
@@ -49,11 +52,15 @@ def trace_norm(m: np.ndarray | DensityOperator) -> float:
 
 
 def global_negativity(state: PureState, p: int) -> float:
-    """Trace norm of the global partial transpose minus one, clamped at zero."""
-    value = trace_norm(global_pt(density(state), p)) - 1.0
-    if -NEG_EIG_TOL < value < 0.0:
-        return 0.0
-    return value
+    """Trace norm of the global partial transpose minus one, in closed form.
+
+    That is 2 s1 s2 for the Schmidt coefficients across qubit p, and by
+    Cauchy-Binet (s1 s2)^2 is the sum of |det|^2 over the fonts; the squared
+    norm divides out as the trace does in ``density``.
+    """
+    d = font_minors(state, p)
+    norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    return float(2.0 * np.sqrt(np.sum(d.real**2 + d.imag**2) / 2.0)) / norm2
 
 
 def kway_negativity(state: PureState, p: int, K: int) -> float:
@@ -63,36 +70,53 @@ def kway_negativity(state: PureState, p: int, K: int) -> float:
     return float(2.0 * abs(negative.sum()))
 
 
-@dataclass(frozen=True)
-class Font:
-    """One negativity font of the partial transpose with respect to qubit p.
+def font_minors(state: PureState, p: int) -> np.ndarray:
+    """All 2x2 minors D[u, v] = m0[u] m1[v] - m0[v] m1[u] of qubit p's amplitude matrix.
 
+    m0 and m1 are the rows of the 2 x 2**(n-1) matrix whose row is bit p and
+    whose column u lists the other bits in qubit order.  D is antisymmetric;
+    its entry with u < v is the determinant of the font spanned by the labels
+    (p-bit 0, rest u) and (p-bit 1, rest v).
+    """
+    n = state.n_qubits
+    if not 1 <= p <= n:
+        raise ValueError(f"qubit {p} out of range for {n} qubits")
+    rows = state.amplitudes.reshape(2 ** (p - 1), 2, 2 ** (n - p))
+    m0, m1 = rows[:, 0].reshape(-1, 1), rows[:, 1].reshape(1, -1)
+    # m0[u] m1[v] in the real arithmetic of a scalar complex product, so every
+    # minor equals its Python-complex evaluation bit for bit; NumPy's
+    # vectorised complex multiply can differ in the last bit
+    prod = np.empty((m0.size, m1.size), dtype=np.complex128)
+    prod.real = m0.real * m1.real - m0.imag * m1.imag
+    prod.imag = m0.real * m1.imag + m0.imag * m1.real
+    return prod - prod.T
+
+
+@dataclass(frozen=True)
+class Fonts:
+    """The fonts of the partial transpose with respect to qubit p, one row each.
+
+    Row r is spanned by the basis labels ``i[r]`` (bit p = 0) and ``j[r]``
+    (bit p = 1), integers with qubit 1 as the most significant bit; ``k[r]``
+    is their Hamming distance, ``det[r]`` the amplitude determinant and
+    ``lambda_minus[r] = -|det[r]|`` the font's negative eigenvalue.
     ``negligible`` flags fonts whose determinant is zero to within
     FONT_ZERO_TOL and therefore contribute no negativity.
     """
 
-    i: BasisIndex
-    j: BasisIndex
     p: int
-    k: int
-    det: complex
-    lambda_minus: float
-    negligible: bool
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    det: np.ndarray
+    lambda_minus: np.ndarray
+    negligible: np.ndarray
+
+    def __len__(self) -> int:
+        return self.det.size
 
 
-def _compose_label(n: int, p: int, p_bit: int, rest: int) -> BasisIndex:
-    bits = []
-    shift = n - 2
-    for q in range(1, n + 1):
-        if q == p:
-            bits.append(p_bit)
-        else:
-            bits.append((rest >> shift) & 1)
-            shift -= 1
-    return BasisIndex(tuple(bits))
-
-
-def enumerate_fonts(state: PureState, p: int) -> list[Font]:
+def enumerate_fonts(state: PureState, p: int) -> Fonts:
     """All fonts of the partial transpose w.r.t. qubit p, deduplicated.
 
     Fonts related by flipping bit p in both labels carry the same |det|, so
@@ -100,37 +124,23 @@ def enumerate_fonts(state: PureState, p: int) -> list[Font]:
     bits of i below those of j.
     """
     n = state.n_qubits
-    if not 1 <= p <= n:
-        raise ValueError(f"qubit {p} out of range for {n} qubits")
-    tensor = state.amplitudes.reshape((2,) * n)
-    m = np.moveaxis(tensor, p - 1, 0).reshape(2, -1)
-    rest_dim = m.shape[1]
-    fonts = []
-    for u in range(rest_dim):
-        for v in range(u + 1, rest_dim):
-            det = complex(m[0, u] * m[1, v] - m[0, v] * m[1, u])
-            i = _compose_label(n, p, 0, u)
-            j = _compose_label(n, p, 1, v)
-            fonts.append(
-                Font(
-                    i=i,
-                    j=j,
-                    p=p,
-                    k=1 + bin(u ^ v).count("1"),
-                    det=det,
-                    lambda_minus=-abs(det),
-                    negligible=abs(det) <= FONT_ZERO_TOL,
-                )
-            )
-    return fonts
+    d = font_minors(state, p)
+    u, v = np.triu_indices(d.shape[0], k=1)
+    det = d[u, v]
+    # hypot is Python's abs(complex); np.abs can differ in the last bit
+    magnitude = np.hypot(det.real, det.imag)
+    # flat labels laid out as the amplitude rows in font_minors
+    index = np.arange(2**n).reshape(2 ** (p - 1), 2, 2 ** (n - p))
+    i, j = index[:, 0].reshape(-1)[u], index[:, 1].reshape(-1)[v]
+    k = sum(((i ^ j) >> shift) & 1 for shift in range(n))
+    return Fonts(p, i, j, k, det, -magnitude, magnitude <= FONT_ZERO_TOL)
 
 
 def font_negativity_2q(state: PureState) -> float:
     """2 |a00 a11 - a01 a10|; agrees with the eigensolve negativity for 2 qubits."""
     if state.n_qubits != 2:
         raise ValueError(f"requires a 2-qubit state, got n = {state.n_qubits}")
-    a = state.amplitudes
-    return 2.0 * abs(a[0b00] * a[0b11] - a[0b01] * a[0b10])
+    return 2.0 * abs(font_minors(state, 1)[0, 1])
 
 
 def concurrence_2q(rho: DensityOperator) -> float:

@@ -41,6 +41,21 @@ def index_to_bits(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
 
+def parse_qubit(label: str | int, n: int) -> int:
+    """Qubit number of a letter (A is qubit 1) or 1-based integer label, checked against n."""
+    text = str(label).strip()
+    if len(text) == 1 and text.isalpha():
+        q = ord(text.upper()) - ord("A") + 1
+    else:
+        try:
+            q = int(text)
+        except ValueError:
+            raise ValueError(f"invalid qubit {label!r}") from None
+    if not 1 <= q <= n:
+        raise ValueError(f"qubit {label!r} out of range for {n} qubits")
+    return q
+
+
 @dataclass(frozen=True)
 class BasisIndex:
     """Label of one computational basis vector; round-trips with its integer encoding."""
@@ -92,6 +107,8 @@ class PureState:
                 f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -125,6 +142,8 @@ class LocalUnitary:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValueError(f"local unitary must be 2x2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("local unitary entries must be finite")
         defect = np.abs(m.conj().T @ m - np.eye(2)).max()
         if defect > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
@@ -148,6 +167,8 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density operator entries must be finite")
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {herm:.3e}")
@@ -171,6 +192,8 @@ class DensityOperator:
 
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    if not np.isfinite(raw).all():
+        raise ValueError("amplitudes must be finite")
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ValueError("all-zero amplitude list cannot be normalized")
@@ -330,16 +353,20 @@ def state_from_payload(obj: dict) -> PureState:
     if not isinstance(obj, dict):
         raise ValueError("state payload must be a JSON object")
     try:
-        n = int(obj["n_qubits"])
+        n = obj["n_qubits"]
         raw_entries = obj["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed state payload: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed state payload: missing {exc}") from exc
+    if type(n) is not int:  # rejects bool and float as well
+        raise ValueError(f"n_qubits must be an integer, got {n!r}")
     if not isinstance(raw_entries, list):
         raise ValueError("amplitudes must be a list")
     entries = []
     for item in raw_entries:
         try:
-            entries.append((str(item["index"]), complex(float(item["re"]), float(item["im"]))))
+            if not isinstance(item["index"], str):
+                raise TypeError("index must be a bit string")
+            entries.append((item["index"], complex(float(item["re"]), float(item["im"]))))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed amplitude entry {item!r}") from exc
     state = make_state(n, entries)

@@ -124,6 +124,17 @@ class TestMeasure:
         assert code == 4
         assert "all-zero" in err
 
+    def test_non_finite_amplitude_is_bad_state(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"n_qubits": 2, "amplitudes": [{"index": "00", "re": NaN, "im": 0.0},'
+            ' {"index": "11", "re": 1.0, "im": 0.0}]}'
+        )
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
     def test_negativity_kway_fonts(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)
         code, out, _ = run_cli(

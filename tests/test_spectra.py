@@ -8,12 +8,14 @@ from tanglekit import (
     concurrence_2q,
     density,
     enumerate_fonts,
+    font_minors,
     font_negativity_2q,
     ghz,
     global_negativity,
     global_pt,
     haar_unitary,
     hermitian_eigenvalues,
+    index_to_bits,
     k_label,
     kway_negativity,
     make_state,
@@ -28,6 +30,12 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 def bell():
     return make_state(2, [("00", INV_SQRT2), ("11", INV_SQRT2)])
+
+
+def eigensolve_negativity(state, p):
+    """Twice the absolute sum of the negative eigenvalues of the global transpose."""
+    eigs = hermitian_eigenvalues(global_pt(density(state), p))
+    return 2 * abs(eigs[eigs < -1e-12].sum())
 
 
 class TestHermitianEigenvalues:
@@ -91,12 +99,13 @@ class TestGlobalNegativity:
             global_negativity(bell(), 3)
 
     def test_matches_negative_eigenvalue_route(self):
-        for seed in range(20):
-            s = random_state(3, seed)
-            for p in (1, 2, 3):
-                eigs = hermitian_eigenvalues(global_pt(density(s), p))
-                from_eigs = 2 * abs(eigs[eigs < -1e-12].sum())
-                assert abs(global_negativity(s, p) - from_eigs) < 1e-10
+        # the closed form against the dense eigensolve, up to 1024x1024
+        for n in range(2, 11):
+            qubits = range(1, n + 1) if n < 8 else (1, (n + 1) // 2, n)
+            for seed in range(20 if n <= 5 else 2 if n < 8 else 1):
+                s = random_state(n, 1000 * n + seed)
+                for p in qubits:
+                    assert abs(global_negativity(s, p) - eigensolve_negativity(s, p)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_local_unitary_invariance(self, n):
@@ -124,39 +133,74 @@ class TestKWayNegativity:
             kway_negativity(ghz(3), 4, 2)
 
 
+class TestFontMinors:
+    def test_matches_brute_force_determinants(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(1, 7))
+            p = int(rng.integers(1, n + 1))
+            s = random_state(n, trial)
+            d = font_minors(s, p)
+            rest = 2 ** (n - 1)
+            assert d.shape == (rest, rest)
+
+            def label(p_bit, u):
+                bits = format(u, f"0{n - 1}b") if n > 1 else ""
+                return bits[: p - 1] + str(p_bit) + bits[p - 1 :]
+
+            for u in range(rest):
+                for v in range(rest):
+                    a = s.amplitude
+                    brute = a(label(0, u)) * a(label(1, v)) - a(label(0, v)) * a(label(1, u))
+                    assert d[u, v] == brute  # same real arithmetic, bit for bit
+
+    def test_antisymmetric(self):
+        for seed in range(5):
+            for p in (1, 3, 5):
+                d = font_minors(random_state(5, seed), p)
+                np.testing.assert_array_equal(d, -d.T)
+                assert not np.diagonal(d).any()
+
+    def test_out_of_range_qubit(self):
+        with pytest.raises(ValueError):
+            font_minors(bell(), 3)
+
+
 class TestFonts:
     def test_bell_single_font(self):
         fonts = enumerate_fonts(bell(), 1)
         assert len(fonts) == 1
-        f = fonts[0]
-        assert (f.i.string, f.j.string) == ("00", "11")
-        assert abs(f.det - 0.5) < 1e-12
-        assert abs(f.lambda_minus + 0.5) < 1e-12
-        assert f.k == 2
-        assert not f.negligible
+        assert (index_to_bits(fonts.i[0], 2), index_to_bits(fonts.j[0], 2)) == ("00", "11")
+        assert abs(fonts.det[0] - 0.5) < 1e-12
+        assert abs(fonts.lambda_minus[0] + 0.5) < 1e-12
+        assert fonts.k[0] == 2
+        assert not fonts.negligible[0]
 
     def test_ghz3_font_layout(self):
         fonts = enumerate_fonts(ghz(3), 1)
         assert len(fonts) == 6  # unordered pairs of the four non-p bit patterns
-        live = [f for f in fonts if not f.negligible]
+        live = np.flatnonzero(~fonts.negligible)
         assert len(live) == 1
-        assert (live[0].i.string, live[0].j.string) == ("000", "111")
-        assert abs(live[0].det - 0.5) < 1e-12
+        r = live[0]
+        assert (index_to_bits(fonts.i[r], 3), index_to_bits(fonts.j[r], 3)) == ("000", "111")
+        assert abs(fonts.det[r] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_product_state_fonts_all_flagged(self, p):
         s = product_state([(0.6, 0.8), (1, 1j), (0.3, -0.5)])
-        assert all(f.negligible for f in enumerate_fonts(s, p))
+        assert enumerate_fonts(s, p).negligible.all()
 
     def test_font_location_invariants(self):
         for seed in range(5):
             s = random_state(3, seed)
             for p in (1, 2, 3):
-                for f in enumerate_fonts(s, p):
-                    assert f.i.bits[p - 1] == 0 and f.j.bits[p - 1] == 1
-                    assert f.k == k_label(f.i, f.j)
-                    assert f.k >= 2  # spanning vectors distinct
-                    assert f.lambda_minus == -abs(f.det)
+                fonts = enumerate_fonts(s, p)
+                assert not ((fonts.i >> (3 - p)) & 1).any()
+                assert ((fonts.j >> (3 - p)) & 1).all()
+                for i, j, k in zip(fonts.i, fonts.j, fonts.k):
+                    assert k == k_label(index_to_bits(i, 3), index_to_bits(j, 3))
+                assert (fonts.k >= 2).all()  # spanning vectors distinct
+                assert fonts.lambda_minus.tolist() == [-abs(d) for d in fonts.det.tolist()]
 
     def test_font_dets_invariant_under_unitary_on_p(self):
         # the sorted |det| multiset is exactly preserved by rotations of qubit p
@@ -166,8 +210,8 @@ class TestFonts:
             p = int(rng.integers(1, n + 1))
             s = random_state(n, trial)
             rotated = apply_local_unitary(s, LocalUnitary(p, haar_unitary(rng)))
-            before = np.sort([abs(f.det) for f in enumerate_fonts(s, p)])
-            after = np.sort([abs(f.det) for f in enumerate_fonts(rotated, p)])
+            before = np.sort(np.abs(enumerate_fonts(s, p).det))
+            after = np.sort(np.abs(enumerate_fonts(rotated, p).det))
             assert np.abs(before - after).max() < 1e-12
 
 
@@ -186,7 +230,7 @@ class TestFontNegativity2Q:
     def test_matches_eigensolve_negativity(self):
         for seed in range(100):
             s = random_state(2, seed)
-            assert abs(font_negativity_2q(s) - global_negativity(s, 1)) < 1e-10
+            assert abs(font_negativity_2q(s) - eigensolve_negativity(s, 1)) < 1e-10
 
     def test_wrong_size(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,12 @@ class TestStateFileFormat:
             {"n_qubits": 2, "amplitudes": [{"index": "000", "re": 1.0, "im": 0.0}]},
             {"n_qubits": 2, "amplitudes": []},
             {"n_qubits": 42, "amplitudes": [{"index": "0" * 42, "re": 1.0, "im": 0.0}]},
+            json.loads('{"n_qubits": 1, "amplitudes": [{"index": "0", "re": NaN, "im": 0.0}]}'),
+            json.loads('{"n_qubits": 1, "amplitudes": [{"index": "0", "re": 0, "im": Infinity}]}'),
+            json.loads('{"n_qubits": 1, "amplitudes": [{"index": "0", "re": 1e400, "im": 0.0}]}'),
+            {"n_qubits": 2.9, "amplitudes": [{"index": "00", "re": 1.0, "im": 0.0}]},
+            {"n_qubits": True, "amplitudes": [{"index": "0", "re": 1.0, "im": 0.0}]},
+            {"n_qubits": 1, "amplitudes": [{"index": 0, "re": 1.0, "im": 0.0}]},
         ],
     )
     def test_reader_rejects_malformed_payloads(self, payload):

@@ -8,15 +8,15 @@
 
 Reports are a single JSON object on stdout, newline-terminated; diagnostics
 go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 I/O error, 4 invalid state data.
+3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
+names each failed check on stderr, one line each with its residual and
+the tolerance.  ``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .invariants import (
@@ -31,13 +31,12 @@ from .invariants import (
 from .reporting import render_json
 from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .states import (
-    MAX_QUBITS,
     PureState,
     cluster4,
     density,
     ghz,
     parse_qubit,
-    product_state,
+    random_product_state,
     random_state,
     state_from_payload,
     state_to_payload,
@@ -50,6 +49,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BAD_STATE = 4
+EXIT_INTERNAL = 5
 
 CHECK_TOL = 1e-8
 
@@ -96,15 +96,6 @@ def _load_state(path: str) -> PureState:
         raise CliError(EXIT_BAD_STATE, f"{path}: {exc}") from exc
 
 
-def _random_product_state(n: int, seed: int) -> PureState:
-    rng = np.random.default_rng(seed)
-    factors = []
-    for _ in range(n):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        factors.append((complex(z[0]), complex(z[1])))
-    return product_state(factors)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if args.seed < 0:
@@ -113,21 +104,21 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if n not in (None, 4):
             raise _fail_usage("cluster4 is a 4-qubit state")
         state = cluster4()
+    elif n is None:
+        raise _fail_usage(f"kind {kind!r} requires a qubit count")
     else:
-        if n is None:
-            raise _fail_usage(f"kind {kind!r} requires a qubit count")
-        if kind in ("ghz", "w") and not 2 <= n <= MAX_QUBITS:
-            raise _fail_usage(f"{kind} requires 2 <= n <= {MAX_QUBITS}, got {n}")
-        if kind in ("random", "product") and not 1 <= n <= MAX_QUBITS:
-            raise _fail_usage(f"{kind} requires 1 <= n <= {MAX_QUBITS}, got {n}")
-        if kind == "ghz":
-            state = ghz(n)
-        elif kind == "w":
-            state = w_state(n)
-        elif kind == "random":
-            state = random_state(n, args.seed)
-        else:
-            state = _random_product_state(n, args.seed)
+        # the constructors check n before allocating or drawing anything
+        try:
+            if kind == "ghz":
+                state = ghz(n)
+            elif kind == "w":
+                state = w_state(n)
+            elif kind == "random":
+                state = random_state(n, args.seed)
+            else:
+                state = random_product_state(n, args.seed)
+        except ValueError as exc:
+            raise _fail_usage(str(exc)) from None
 
     text = render_json(state_to_payload(state)) + "\n"
     if args.out is None:
@@ -218,7 +209,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise _fail_usage("no checks requested")
 
     report: dict = {}
-    residuals: list[float] = []
+    residuals: list[tuple[str, float]] = []
 
     if args.decomposition:
         if n < 2:
@@ -226,14 +217,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         rho = density(state)
         value = max(decomposition_residual(rho, p) for p in range(1, n + 1))
         report["decomposition"] = value
-        residuals.append(value)
+        residuals.append(("decomposition", value))
 
     if args.product_identity:
         if n != 3:
             raise _fail_usage(f"--product-identity requires a 3-qubit state, got n = {n}")
         value = product_identity_residual(state)
         report["product_identity"] = value
-        residuals.append(value)
+        residuals.append(("product_identity", value))
 
     if args.covariance:
         parts = args.covariance.split(",")
@@ -253,7 +244,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
             for c in checks
         ]
-        residuals.extend(c.residual for c in checks)
+        residuals.extend((f"covariance:{c.relation}", c.residual) for c in checks)
 
     if args.lu_sweep:
         if n not in (3, 4):
@@ -269,10 +260,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise _fail_usage("TRIALS and SEED must be non-negative")
         value = lu_invariance_sweep(state, trials, seed)
         report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
-        residuals.append(value)
+        residuals.append(("lu_sweep", value))
 
     sys.stdout.write(render_json(report) + "\n")
-    return EXIT_OK if all(r < CHECK_TOL for r in residuals) else EXIT_CHECK_FAILED
+    failed = [(name, value) for name, value in residuals if not value < CHECK_TOL]
+    for name, value in failed:
+        print(f"tanglekit: check failed: {name} = {value!r} (tolerance {CHECK_TOL!r})",
+              file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"tanglekit: {exc}", file=sys.stderr)
         return exc.code
+    except Exception as exc:  # a defect, not bad input: one line instead of a traceback
+        message = " ".join(str(exc).split())
+        print(f"tanglekit: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

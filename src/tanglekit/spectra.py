@@ -34,9 +34,13 @@ _SIGMA_YY = np.array(
 
 
 def hermitian_eigenvalues(m: np.ndarray | DensityOperator) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
+    """Real eigenvalues of a Hermitian matrix, ascending.
+
+    A raw array is checked for Hermiticity; a DensityOperator is read-only and
+    was checked to the stricter HERMITIAN_TOL when it was built.
+    """
     if isinstance(m, DensityOperator):
-        m = m.matrix
+        return np.linalg.eigvalsh(m.matrix)
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

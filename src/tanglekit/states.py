@@ -56,6 +56,19 @@ def parse_qubit(label: str | int, n: int) -> int:
     return q
 
 
+def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Replace ``value.name`` by a read-only complex128 copy, checking shape and finiteness."""
+    what = f"{type(value).__name__} {name}"
+    arr = np.array(getattr(value, name), dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    arr.setflags(write=False)
+    object.__setattr__(value, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class BasisIndex:
     """Label of one computational basis vector; round-trips with its integer encoding."""
@@ -101,20 +114,10 @@ class PureState:
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for {self.n_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
+        amps = _frozen_copy(self, "amplitudes", (2**self.n_qubits,))
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -139,17 +142,10 @@ class LocalUnitary:
     def __post_init__(self) -> None:
         if self.target < 1:
             raise ValueError(f"target qubit must be >= 1, got {self.target}")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"local unitary must be 2x2, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("local unitary entries must be finite")
+        m = _frozen_copy(self, "matrix", (2, 2))
         defect = np.abs(m.conj().T @ m - np.eye(2)).max()
         if defect > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     def dagger(self) -> "LocalUnitary":
         return LocalUnitary(self.target, self.matrix.conj().T)
@@ -163,21 +159,13 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = 2**self.n_qubits
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("density operator entries must be finite")
+        m = _frozen_copy(self, "matrix", (2**self.n_qubits,) * 2)
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -200,19 +188,14 @@ def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
     return raw / norm, abs(norm - 1.0)
 
 
-def make_state(
-    n: int,
-    entries: Iterable[tuple[str, complex]],
-    *,
-    max_qubits: int = MAX_QUBITS,
-) -> PureState:
+def make_state(n: int, entries: Iterable[tuple[str, complex]]) -> PureState:
     """Build a normalized state from sparse (bit-string, amplitude) entries.
 
     Unspecified indices are zero.  The state is always divided by its norm;
     the resulting ``norm_shift`` records how large that correction was.
     """
-    if not 1 <= n <= max_qubits:
-        raise ValueError(f"n must be in [1, {max_qubits}], got {n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
     raw = np.zeros(2**n, dtype=np.complex128)
     seen: set[int] = set()
     for bits, value in entries:
@@ -290,6 +273,18 @@ def random_state(n: int, seed: int) -> PureState:
     raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     amps, _ = _normalized(raw)
     return PureState(n, amps)
+
+
+def random_product_state(n: int, seed: int) -> PureState:
+    """Product of n single-qubit factors, each two complex Gaussian draws; deterministic per seed."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(n):
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        factors.append((complex(z[0]), complex(z[1])))
+    return product_state(factors)
 
 
 def random_local_unitary(target: int, seed: int) -> LocalUnitary:

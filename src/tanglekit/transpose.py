@@ -33,21 +33,12 @@ def k_label(i: str | BasisIndex, j: str | BasisIndex) -> int:
 @lru_cache(maxsize=None)
 def _hamming_table(n: int) -> np.ndarray:
     idx = np.arange(2**n)
-    xor = idx[:, None] ^ idx[None, :]
-    table = np.zeros_like(xor)
-    for bit in range(n):
-        table += (xor >> bit) & 1
+    table = np.zeros((2**n, 2**n), dtype=np.uint8)
+    for shift in range(n):
+        bit = ((idx >> shift) & 1).astype(np.uint8)
+        table += bit[:, None] ^ bit[None, :]
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=None)
-def _bit_differs(n: int, p: int) -> np.ndarray:
-    # qubit 1 is the most significant bit, so qubit p sits at position n - p
-    bit = (np.arange(2**n) >> (n - p)) & 1
-    mask = bit[:, None] != bit[None, :]
-    mask.setflags(write=False)
-    return mask
 
 
 def _require_qubit(rho: DensityOperator, p: int) -> None:
@@ -55,13 +46,17 @@ def _require_qubit(rho: DensityOperator, p: int) -> None:
         raise ValueError(f"qubit {p} out of range for {rho.n_qubits} qubits")
 
 
+def _swap_bit(rho: DensityOperator, p: int) -> np.ndarray:
+    """rho's matrix with bit p of every row label exchanged with that of its column label."""
+    n = rho.n_qubits
+    tensor = rho.matrix.reshape((2,) * (2 * n))
+    return np.swapaxes(tensor, p - 1, n + p - 1).reshape(rho.dim, rho.dim)
+
+
 def global_pt(rho: DensityOperator, p: int) -> DensityOperator:
     """Partial transpose of qubit p: <i|out|j> = <j_p i_rest|rho|i_p j_rest>."""
     _require_qubit(rho, p)
-    n = rho.n_qubits
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    swapped = np.swapaxes(tensor, p - 1, n + p - 1)
-    return DensityOperator(n, swapped.reshape(rho.dim, rho.dim))
+    return DensityOperator(rho.n_qubits, _swap_bit(rho, p))
 
 
 def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
@@ -76,11 +71,13 @@ def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
     distance = _hamming_table(n)
-    # the K = 2 transpose intentionally includes the distance-1 elements
-    selected = (distance == 1) | (distance == 2) if K == 2 else distance == K
-    mask = selected & _bit_differs(n, p)
-    transposed = global_pt(rho, p).matrix
-    return DensityOperator(n, np.where(mask, transposed, rho.matrix))
+    # the K = 2 transpose intentionally includes the distance-1 elements; the
+    # distance-0 (diagonal) elements it also selects never differ in bit p
+    selected = distance <= 2 if K == 2 else distance == K
+    # qubit 1 is the most significant bit, so qubit p sits at position n - p
+    bit = (np.arange(2**n) >> (n - p)) & 1
+    mask = selected & (bit[:, None] != bit[None, :])
+    return DensityOperator(n, np.where(mask, _swap_bit(rho, p), rho.matrix))
 
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:

@@ -47,6 +47,13 @@ class TestGen:
         assert code == 2
         assert "2 <= n" in err
 
+    @pytest.mark.parametrize("kind,n", [("random", 11), ("ghz", 11), ("product", 0), ("product", 11)])
+    def test_qubit_count_out_of_range_is_usage_error(self, kind, n, capsys):
+        code, out, err = run_cli(["gen", kind, str(n)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+
     def test_cluster4_needs_no_n(self, tmp_path, capsys):
         path = write_state(tmp_path, "c4.json", "cluster4", capsys=capsys)
         payload = json.loads(path.read_text())
@@ -184,9 +191,10 @@ class TestMeasure:
 class TestCheck:
     def test_decomposition_random4(self, tmp_path, capsys):
         path = write_state(tmp_path, "r4.json", "random", "4", "--seed", "7", capsys=capsys)
-        code, out, _ = run_cli(["check", str(path), "--decomposition"], capsys)
+        code, out, err = run_cli(["check", str(path), "--decomposition"], capsys)
         assert code == 0
         assert json.loads(out)["decomposition"] <= 1e-12
+        assert err == ""
 
     def test_lu_sweep_ghz3(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
@@ -250,9 +258,12 @@ class TestCheck:
     def test_failing_residual_gives_exit_one(self, tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         monkeypatch.setattr("tanglekit.cli.lu_invariance_sweep", lambda s, t, sd: 0.5)
-        code, out, _ = run_cli(["check", str(path), "--lu-sweep", "5,1"], capsys)
+        code, out, err = run_cli(
+            ["check", str(path), "--lu-sweep", "5,1", "--product-identity"], capsys
+        )
         assert code == 1
         assert json.loads(out)["lu_sweep"]["max_deviation"] == 0.5
+        assert err == "tanglekit: check failed: lu_sweep = 0.5 (tolerance 1e-08)\n"
 
     def test_repeated_seeded_check_is_byte_identical(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
@@ -260,6 +271,21 @@ class TestCheck:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_five_with_one_line(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+
+        def broken(state):
+            raise RuntimeError("three-tangle forms disagree")
+
+        monkeypatch.setattr("tanglekit.cli.three_tangle", broken)
+        code, out, err = run_cli(["measure", str(path), "--tangle3"], capsys)
+        assert code == 5
+        assert out == ""
+        assert err == "tanglekit: internal error: RuntimeError: three-tangle forms disagree\n"
+        assert "Traceback" not in err
 
 
 class TestReportFormatting:

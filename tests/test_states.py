@@ -11,11 +11,13 @@ from tanglekit import (
     apply_local_unitary,
     cluster4,
     density,
+    enumerate_fonts,
     ghz,
     haar_unitary,
     make_state,
     product_state,
     random_local_unitary,
+    random_product_state,
     random_state,
     reduced_density,
     state_from_payload,
@@ -122,6 +124,18 @@ class TestRandomSampling:
         b = random_local_unitary(1, seed=3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    def test_random_product_state_deterministic(self):
+        a = random_product_state(4, seed=5)
+        b = random_product_state(4, seed=5)
+        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+        assert not np.array_equal(a.amplitudes, random_product_state(4, seed=6).amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_product_state_fonts_negligible(self, n):
+        s = random_product_state(n, seed=100 + n)
+        for p in range(1, n + 1):
+            assert enumerate_fonts(s, p).negligible.all()
+
     def test_haar_first_element_moment(self):
         # E|U00|^2 = 1/2 for Haar on U(2)
         rng = np.random.default_rng(2024)
@@ -210,6 +224,39 @@ class TestBasisIndex:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             BasisIndex.from_string("012")
+
+
+# (constructor, stored attribute, valid input, input of the wrong shape)
+VALUE_TYPES = [
+    (lambda a: PureState(1, a), "amplitudes", [INV_SQRT2, INV_SQRT2], np.full(4, 0.5)),
+    (lambda a: LocalUnitary(1, a), "matrix", np.eye(2), np.eye(3)),
+    (lambda a: DensityOperator(1, a), "matrix", np.diag([0.25, 0.75]), np.diag([0.5, 0.5, 0.0])),
+]
+VALUE_TYPE_IDS = ["PureState", "LocalUnitary", "DensityOperator"]
+
+
+@pytest.mark.parametrize("build,attr,valid,wrong_shape", VALUE_TYPES, ids=VALUE_TYPE_IDS)
+class TestSharedChecks:
+    def test_rejects_wrong_shape(self, build, attr, valid, wrong_shape):
+        with pytest.raises(ValueError, match="shape"):
+            build(wrong_shape)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_rejects_non_finite_entry(self, build, attr, valid, wrong_shape, bad):
+        arr = np.array(valid, dtype=np.complex128)
+        arr.flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build(arr)
+
+    def test_stores_read_only_copy(self, build, attr, valid, wrong_shape):
+        arr = np.array(valid, dtype=np.complex128)
+        value = build(arr)
+        stored = getattr(value, attr)
+        arr.flat[0] = 7.0
+        np.testing.assert_array_equal(stored, np.asarray(valid, dtype=np.complex128))
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored.flat[0] = 7.0
 
 
 class TestValidation:

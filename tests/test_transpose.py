@@ -8,12 +8,14 @@ from tanglekit import (
     ghz,
     global_pt,
     k_label,
+    kway_negativity,
     kway_pt,
     make_state,
     product_state,
     random_state,
     w_state,
 )
+from tanglekit.spectra import NEG_EIG_TOL
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -118,6 +120,40 @@ class TestKWayPT:
             for out in [global_pt(rho, p)] + [kway_pt(rho, p, K) for K in (2, 3)]:
                 assert np.abs(out.matrix - out.matrix.conj().T).max() < 1e-12
                 assert abs(np.trace(out.matrix) - 1) < 1e-12
+
+
+def brute_force_kway_pt(matrix, n, p, K):
+    """The K-way transpose element by element, from the rule in the module docstring.
+
+    Element (i, j) whose labels differ in bit p and lie at Hamming distance K
+    (1 or 2 when K = 2) becomes <j_p i_rest|rho|i_p j_rest>; every other
+    element keeps its value.
+    """
+    labels = [format(v, f"0{n}b") for v in range(2**n)]
+    out = [[complex(matrix[a, b]) for b in range(2**n)] for a in range(2**n)]
+    for a, i in enumerate(labels):
+        for b, j in enumerate(labels):
+            distance = sum(x != y for x, y in zip(i, j))
+            if i[p - 1] == j[p - 1] or not (distance == K or (K == 2 and distance == 1)):
+                continue
+            row = i[: p - 1] + j[p - 1] + i[p:]
+            col = j[: p - 1] + i[p - 1] + j[p:]
+            out[a][b] = complex(matrix[int(row, 2), int(col, 2)])
+    return np.array(out)
+
+
+class TestKWayOracle:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_element_rule(self, n):
+        state = random_state(n, 300 + n)
+        rho = density(state)
+        for p in range(1, n + 1):
+            for K in range(2, n + 1):
+                expected = brute_force_kway_pt(rho.matrix, n, p, K)
+                np.testing.assert_array_equal(kway_pt(rho, p, K).matrix, expected)
+                eigs = np.linalg.eigvalsh(expected)
+                negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
+                assert abs(kway_negativity(state, p, K) - negativity) < 1e-12
 
 
 class TestDecomposition:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import __version__
 from .invariants import (
@@ -88,12 +89,17 @@ def _load_state(path: str) -> PureState:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise CliError(EXIT_BAD_STATE, f"{path} is not valid JSON: {exc}") from exc
     try:
-        return state_from_payload(payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state = state_from_payload(payload)
     except ValueError as exc:
         raise CliError(EXIT_BAD_STATE, f"{path}: {exc}") from exc
+    for warning in caught:  # one stderr line each, without Python's source-line format
+        print(f"tanglekit: warning: {warning.message}", file=sys.stderr)
+    return state
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -192,8 +198,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             report["four_invariant_abs"] = abs(four_invariant(state))
     for p in neg_qubits:
         report[f"negativity_q{p}"] = global_negativity(state, p)
+    rho = density(state) if kway_pairs else None
     for p, k in sorted(kway_pairs):
-        report[f"kway_q{p}_k{k}"] = kway_negativity(state, p, k)
+        report[f"kway_q{p}_k{k}"] = kway_negativity(rho, p, k)
     for p in font_qubits:
         report[f"fonts_q{p}"] = _font_records(enumerate_fonts(state, p), n)
 

@@ -290,8 +290,6 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        rotated = state
-        for q in range(1, n + 1):
-            rotated = apply_local_unitary(rotated, LocalUnitary(q, haar_unitary(rng)))
-        worst = max(worst, abs(measure(rotated) - reference))
+        lus = [LocalUnitary(q, haar_unitary(rng)) for q in range(1, n + 1)]
+        worst = max(worst, abs(measure(apply_local_unitary(state, *lus)) - reference))
     return worst

@@ -7,8 +7,8 @@ makes repeated seeded runs byte-identical.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii  # what json.dumps runs on a str
 
 
 def format_float(value: float) -> str:
@@ -32,11 +32,13 @@ def render_json(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {render_json(v)}" for k, v in value.items())
+        items = ", ".join(
+            f"{encode_basestring_ascii(str(k))}: {render_json(v)}" for k, v in value.items()
+        )
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(render_json(v) for v in value) + "]"

@@ -11,8 +11,9 @@ negative eigenvalue is -|det nu| where nu is the 2x2 amplitude matrix
 Each such nu is a 2x2 minor of qubit p's 2 x 2**(n-1) amplitude matrix, and
 ``font_minors`` computes all of them at once.  The fonts, the 2-qubit font
 negativity and the global negativity (a closed form over the minors, by
-Cauchy-Binet) derive from it; K-way negativities are not font sums and go
-through the dense Hermitian eigensolver.
+Cauchy-Binet) derive from it.  K-way negativities are not font sums: they
+go through the dense Hermitian eigensolver and take the density operator,
+so one rho serves every (p, K) and mixed operators are measured the same way.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, PureState, density
+from .states import DensityOperator, PureState
 from .transpose import kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
@@ -67,9 +68,9 @@ def global_negativity(state: PureState, p: int) -> float:
     return float(2.0 * np.sqrt(np.sum(d.real**2 + d.imag**2) / 2.0)) / norm2
 
 
-def kway_negativity(state: PureState, p: int, K: int) -> float:
+def kway_negativity(rho: DensityOperator, p: int, K: int) -> float:
     """Twice the absolute sum of negative eigenvalues of the K-way transpose."""
-    eigs = hermitian_eigenvalues(kway_pt(density(state), p, K))
+    eigs = hermitian_eigenvalues(kway_pt(rho, p, K))
     negative = eigs[eigs < -NEG_EIG_TOL]
     return float(2.0 * abs(negative.sum()))
 

@@ -292,16 +292,14 @@ def random_local_unitary(target: int, seed: int) -> LocalUnitary:
     return LocalUnitary(target, haar_unitary(np.random.default_rng(seed)))
 
 
-def apply_local_unitary(state: PureState, lu: LocalUnitary) -> PureState:
-    """Transform the target qubit's index by the 2x2 matrix; norm is preserved."""
-    n = state.n_qubits
-    if lu.target > n:
-        raise ValueError(f"target qubit {lu.target} out of range for {n} qubits")
-    tensor = state.amplitudes.reshape((2,) * n)
-    front = np.moveaxis(tensor, lu.target - 1, 0).reshape(2, -1)
-    rotated = lu.matrix @ front
-    back = np.moveaxis(rotated.reshape((2,) + (2,) * (n - 1)), 0, lu.target - 1)
-    return PureState(n, back.reshape(-1))
+def apply_local_unitary(state: PureState, *lus: LocalUnitary) -> PureState:
+    """Transform each target qubit's index by its 2x2 matrix, in order, into one new state."""
+    n, amps = state.n_qubits, state.amplitudes
+    for lu in lus:
+        if lu.target > n:
+            raise ValueError(f"target qubit {lu.target} out of range for {n} qubits")
+        amps = lu.matrix @ amps.reshape(2 ** (lu.target - 1), 2, 2 ** (n - lu.target))
+    return PureState(n, amps.reshape(-1))
 
 
 def density(state: PureState) -> DensityOperator:
@@ -342,8 +340,9 @@ def state_to_payload(state: PureState) -> dict:
 def state_from_payload(obj: dict) -> PureState:
     """Parse the shared state file format, normalizing and warning on large corrections.
 
-    Raises ValueError on malformed payloads, out-of-range sizes, duplicate or
-    wrong-length indices, and all-zero amplitude data.
+    Raises ValueError on malformed payloads, amplitude fields that are not
+    JSON numbers, out-of-range sizes, duplicate or wrong-length indices, and
+    all-zero amplitude data.
     """
     if not isinstance(obj, dict):
         raise ValueError("state payload must be a JSON object")
@@ -359,10 +358,14 @@ def state_from_payload(obj: dict) -> PureState:
     entries = []
     for item in raw_entries:
         try:
-            if not isinstance(item["index"], str):
+            index, real, imag = item["index"], item["re"], item["im"]
+            if not isinstance(index, str):
                 raise TypeError("index must be a bit string")
-            entries.append((item["index"], complex(float(item["re"]), float(item["im"]))))
-        except (KeyError, TypeError, ValueError) as exc:
+            # JSON numbers only: float() would also read "0.6" and True
+            if any(type(x) not in (int, float) for x in (real, imag)):
+                raise TypeError("re and im must be numbers")
+            entries.append((index, complex(float(real), float(imag))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed amplitude entry {item!r}") from exc
     state = make_state(n, entries)
     if state.norm_shift > NORM_TOL:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from tanglekit import DensityOperator
 from tanglekit.cli import main
 from tanglekit.reporting import format_float, render_json
 
@@ -142,6 +143,21 @@ class TestMeasure:
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize(
+        "value",
+        ['"0.6"', "true", "null", "1" * 400, "1" * 5000],
+        ids=["string", "bool", "null", "past-float-range", "past-int-digit-limit"],
+    )
+    def test_non_number_amplitude_is_bad_state(self, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"n_qubits": 1, "amplitudes": [{"index": "0", "re": %s, "im": 0.0}]}' % value
+        )
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1
+
     def test_negativity_kway_fonts(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)
         code, out, _ = run_cli(
@@ -168,6 +184,22 @@ class TestMeasure:
         assert {f"negativity_q{p}" for p in range(1, 5)} <= set(report)
         assert {f"kway_q{p}_k{k}" for p in range(1, 5) for k in range(2, 5)} <= set(report)
         assert abs(report["tangle4"] - 4 * report["four_invariant_abs"] ** 2) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_all_builds_rho_once(self, n, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
+        built = []
+        validate = DensityOperator.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+        code, _, _ = run_cli(["measure", str(path), "--all"], capsys)
+        assert code == 0
+        # rho, then one K-way transpose per (p, K)
+        assert len(built) == 1 + n * (n - 1)
 
     def test_no_flags_is_usage_error(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)
@@ -306,6 +338,10 @@ class TestReportFormatting:
         obj = {"a": 1.0, "b": [0.5, 2, True, "s"], "c": {"nested": 1e-300}}
         assert json.loads(render_json(obj)) == obj
 
+    def test_strings_escaped_as_json_dumps(self):
+        obj = {'quote " back \\ tab \t': "caf\u00e9 \u2028 \U0001f600 \x00"}
+        assert render_json(obj) == json.dumps(obj)
+
 
 class TestSubprocessEntryPoint:
     def test_module_invocation_matches_contract(self, tmp_path):
@@ -332,3 +368,19 @@ class TestSubprocessEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_normalization_warning_is_one_line(self, tmp_path):
+        path = tmp_path / "unnormalized.json"
+        path.write_text(
+            json.dumps({"n_qubits": 2, "amplitudes": [{"index": "00", "re": 2.0, "im": 0.0}]})
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "tanglekit", "measure", str(path), "--negativity", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == '{"negativity_q1": 0.0}\n'
+        assert proc.stderr == (
+            "tanglekit: warning: state file required a normalization correction of 1.000e+00\n"
+        )

@@ -3,6 +3,7 @@ import pytest
 
 from tanglekit import (
     LocalUnitary,
+    PureState,
     apply_local_unitary,
     cluster4,
     covariance_check_3,
@@ -274,3 +275,17 @@ class TestLuInvarianceSweep:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             lu_invariance_sweep(ghz(5), 10, 0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_builds_one_state_per_trial(self, n, monkeypatch):
+        s = random_state(n, 2)
+        built = []
+        validate = PureState.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting)
+        lu_invariance_sweep(s, 30, 4)
+        assert len(built) == 30

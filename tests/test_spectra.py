@@ -120,17 +120,17 @@ class TestGlobalNegativity:
 
 class TestKWayNegativity:
     def test_ghz3_values(self):
-        assert abs(kway_negativity(ghz(3), 1, 3) - 1) < 1e-12
-        assert kway_negativity(ghz(3), 1, 2) == 0.0
+        assert abs(kway_negativity(density(ghz(3)), 1, 3) - 1) < 1e-12
+        assert kway_negativity(density(ghz(3)), 1, 2) == 0.0
 
     def test_w3_three_way_is_zero(self):
-        assert kway_negativity(w_state(3), 1, 3) == 0.0
+        assert kway_negativity(density(w_state(3)), 1, 3) == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            kway_negativity(ghz(3), 1, 4)
+            kway_negativity(density(ghz(3)), 1, 4)
         with pytest.raises(ValueError):
-            kway_negativity(ghz(3), 4, 2)
+            kway_negativity(density(ghz(3)), 4, 2)
 
 
 class TestFontMinors:

@@ -168,6 +168,31 @@ class TestApplyLocalUnitary:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_local_unitary(ghz(2), LocalUnitary(3, np.eye(2)))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_local_unitary(ghz(2), LocalUnitary(1, np.eye(2)), LocalUnitary(3, np.eye(2)))
+
+    def test_no_unitaries_keeps_amplitudes(self):
+        s = random_state(3, 5)
+        np.testing.assert_array_equal(apply_local_unitary(s).amplitudes, s.amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_matches_sequential_calls(self, n):
+        rng = np.random.default_rng(60 + n)
+        s = random_state(n, 60 + n)
+        for _ in range(5):
+            # every target in a shuffled order, then repeated targets
+            targets = [*rng.permutation(range(1, n + 1)), *rng.integers(1, n + 1, size=3)]
+            lus = [LocalUnitary(int(q), haar_unitary(rng)) for q in targets]
+            sequential = s
+            full = s.amplitudes
+            for lu in lus:
+                sequential = apply_local_unitary(sequential, lu)
+                q = lu.target
+                operator = np.kron(np.kron(np.eye(2 ** (q - 1)), lu.matrix), np.eye(2 ** (n - q)))
+                full = operator @ full
+            product = apply_local_unitary(s, *lus).amplitudes
+            assert np.abs(product - sequential.amplitudes).max() <= 1e-15
+            assert np.abs(product - full).max() <= 1e-15
 
 
 class TestDensity:
@@ -314,6 +339,11 @@ class TestStateFileFormat:
             {"n_qubits": 2.9, "amplitudes": [{"index": "00", "re": 1.0, "im": 0.0}]},
             {"n_qubits": True, "amplitudes": [{"index": "0", "re": 1.0, "im": 0.0}]},
             {"n_qubits": 1, "amplitudes": [{"index": 0, "re": 1.0, "im": 0.0}]},
+            {"n_qubits": 1, "amplitudes": [{"index": "0", "re": "0.6", "im": 0.0}]},
+            {"n_qubits": 1, "amplitudes": [{"index": "0", "re": True, "im": 0.0}]},
+            {"n_qubits": 1, "amplitudes": [{"index": "0", "re": 1.0, "im": "0.0"}]},
+            {"n_qubits": 1, "amplitudes": [{"index": "0", "re": None, "im": 0.0}]},
+            {"n_qubits": 1, "amplitudes": [{"index": "0", "re": 10**400, "im": 0.0}]},
         ],
     )
     def test_reader_rejects_malformed_payloads(self, payload):

@@ -13,6 +13,7 @@ from tanglekit import (
     make_state,
     product_state,
     random_state,
+    reduced_density,
     w_state,
 )
 from tanglekit.spectra import NEG_EIG_TOL
@@ -153,7 +154,18 @@ class TestKWayOracle:
                 np.testing.assert_array_equal(kway_pt(rho, p, K).matrix, expected)
                 eigs = np.linalg.eigvalsh(expected)
                 negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
-                assert abs(kway_negativity(state, p, K) - negativity) < 1e-12
+                assert abs(kway_negativity(rho, p, K) - negativity) < 1e-12
+
+    @pytest.mark.parametrize("keep", [(1, 2, 3), (2, 3, 4), (4, 1, 3)])
+    def test_negativity_of_mixed_operator(self, keep):
+        for seed in range(5):
+            rho = reduced_density(random_state(4, 500 + seed), keep)
+            assert np.trace(rho.matrix @ rho.matrix).real < 0.99  # mixed, not rank 1
+            for p in range(1, 4):
+                for K in (2, 3):
+                    eigs = np.linalg.eigvalsh(brute_force_kway_pt(rho.matrix, 3, p, K))
+                    negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
+                    assert abs(kway_negativity(rho, p, K) - negativity) < 1e-12
 
 
 class TestDecomposition:

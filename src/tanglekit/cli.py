@@ -241,12 +241,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if n not in (3, 4):
             raise _fail_usage(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
         qubit = _parse_qubit(parts[0], n)
-        if n == 4:
-            checks = covariance_check_4(state, qubit, param)
-        elif qubit == 2:
-            checks = covariance_check_3(state, param)
-        else:
+        if n == 3 and qubit != 2:
             raise _fail_usage("three-qubit covariance relations are stated for qubit B")
+        try:  # state and qubit are checked, so a ValueError rejects the parameter
+            if n == 4:
+                checks = covariance_check_4(state, qubit, param)
+            else:
+                checks = covariance_check_3(state, param)
+        except ValueError as exc:
+            raise _fail_usage(str(exc)) from None
         report["covariance"] = [
             {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
             for c in checks

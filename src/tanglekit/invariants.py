@@ -17,17 +17,21 @@ import numpy as np
 from .states import (
     LocalUnitary,
     PureState,
+    _haar_rotated,
+    _rotation_parameter,
     apply_local_unitary,
-    haar_unitary,
     parse_qubit,
     reduced_density,
     su2_rotation,
 )
-from .spectra import concurrence_2q, font_minors, global_negativity
+from .spectra import _minor_matrix, _product, concurrence_2q, font_minors, global_negativity
 
 # primary and alternate tangle forms are equal by an exact determinant
 # identity; disagreement beyond this signals an amplitude-indexing bug
 _ALT_FORM_TOL = 1e-8
+# trials per block of lu_invariance_sweep: a block's arrays peak below 1 MB
+# at n = 4, whatever the trial count
+_SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -67,35 +71,49 @@ class CovarianceReport:
     prefactor_used: float
 
 
-def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
-    if state.n_qubits != 3:
-        raise ValueError(f"requires a 3-qubit state, got n = {state.n_qubits}")
+def _leading_minors(state: PureState, n: int) -> np.ndarray:
+    """font_minors for qubit A of a state that must have n qubits."""
+    if state.n_qubits != n:
+        raise ValueError(f"requires a {n}-qubit state, got n = {state.n_qubits}")
+    return font_minors(state, 1)
+
+
+def _three_fonts(d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(t0, t1, b0, b1, c0, c1): three_way, b_fixed and c_fixed of minor matrices d (..., 4, 4)."""
     # d[u][v] pairs A = 0 with BC bits u and A = 1 with BC bits v
-    d = font_minors(state, 1).tolist()
-    return ThreeQubitFonts(
-        three_way=(d[0][3], d[1][2]),
-        b_fixed=(d[0][1], d[2][3]),
-        c_fixed=(d[0][2], d[1][3]),
-    )
+    return d[..., 0, 3], d[..., 1, 2], d[..., 0, 1], d[..., 2, 3], d[..., 0, 2], d[..., 1, 3]
 
 
-def _three_tangle_forms(fonts: ThreeQubitFonts) -> tuple[float, float]:
-    t0, t1 = fonts.three_way
-    b0, b1 = fonts.b_fixed
-    c0, c1 = fonts.c_fixed
-    primary = 4.0 * abs((t1 - t0) ** 2 - 4.0 * b1 * b0)
-    alternate = 4.0 * abs((t1 + t0) ** 2 - 4.0 * c0 * c1)
-    return primary, alternate
+def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
+    t0, t1, b0, b1, c0, c1 = (complex(f) for f in _three_fonts(_leading_minors(state, 3)))
+    return ThreeQubitFonts(three_way=(t0, t1), b_fixed=(b0, b1), c_fixed=(c0, c1))
+
+
+def _three_tangle_forms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """4 |(t1 - t0)^2 - 4 b1 b0| and the alternate 4 |(t1 + t0)^2 - 4 c0 c1| of each d.
+
+    Products and magnitudes follow Python complex arithmetic, so every value
+    equals its scalar evaluation on the ThreeQubitFonts fields bit for bit.
+    """
+    t0, t1, b0, b1, c0, c1 = _three_fonts(d)
+    primary = _product(t1 - t0, t1 - t0) - _product(4.0 * b1, b0)
+    alternate = _product(t1 + t0, t1 + t0) - _product(4.0 * c0, c1)
+    return (4.0 * np.hypot(primary.real, primary.imag),
+            4.0 * np.hypot(alternate.real, alternate.imag))
+
+
+def _three_tangles(d: np.ndarray) -> np.ndarray:
+    """Three-tangle of each qubit-A minor matrix in d, checked against the alternate form."""
+    primary, alternate = _three_tangle_forms(d)
+    gap = np.max(np.abs(primary - alternate))
+    if gap > _ALT_FORM_TOL:
+        raise RuntimeError(f"primary and alternate tangle forms disagree by {gap:.3e}")
+    return primary
 
 
 def three_tangle(state: PureState) -> float:
     """4 |(three_way[1] - three_way[0])^2 - 4 b_fixed[1] b_fixed[0]|."""
-    primary, alternate = _three_tangle_forms(three_qubit_fonts(state))
-    if abs(primary - alternate) > _ALT_FORM_TOL:
-        raise RuntimeError(
-            f"primary and alternate tangle forms disagree by {abs(primary - alternate):.3e}"
-        )
-    return primary
+    return float(_three_tangles(_leading_minors(state, 3)))
 
 
 def product_identity_residual(state: PureState) -> float:
@@ -132,7 +150,7 @@ def covariance_check_3(state: PureState, x: complex) -> list[CovarianceReport]:
     """
     if state.n_qubits != 3:
         raise ValueError(f"requires a 3-qubit state, got n = {state.n_qubits}")
-    x = complex(x)
+    x = _rotation_parameter(x)
     xc = x.conjugate()
     lam = 1.0 / (1.0 + abs(x) ** 2)
     u = su2_rotation(x)
@@ -191,31 +209,43 @@ def covariance_check_3(state: PureState, x: complex) -> list[CovarianceReport]:
     return reports
 
 
-def four_qubit_fonts(state: PureState) -> FourQubitFonts:
-    if state.n_qubits != 4:
-        raise ValueError(f"requires a 4-qubit state, got n = {state.n_qubits}")
+def _four_way(d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """four_way[0][0], [0][1], [1][0] and [1][1] of qubit-A minor matrices d (..., 8, 8)."""
     # d[u][v] pairs A = 0 with BCD bits u and A = 1 with BCD bits v
-    d = font_minors(state, 1).tolist()
+    return d[..., 0, 7], d[..., 1, 6], d[..., 2, 5], d[..., 3, 4]
+
+
+def four_qubit_fonts(state: PureState) -> FourQubitFonts:
+    d = _leading_minors(state, 4)
+    f00, f01, f10, f11 = (complex(f) for f in _four_way(d))
+    d = d.tolist()
     return FourQubitFonts(
-        four_way=((d[0][7], d[1][6]), (d[2][5], d[3][4])),
+        four_way=((f00, f01), (f10, f11)),
         three_way_c=((d[0][5], d[1][4]), (d[2][7], d[3][6])),
         three_way_b=((d[0][3], d[1][2]), (d[4][7], d[5][6])),
     )
 
 
-def _invariant_of(fonts: FourQubitFonts) -> complex:
-    f = fonts.four_way
-    return (f[0][1] - f[0][0]) + (f[1][0] - f[1][1])
+def _four_invariants(d: np.ndarray) -> np.ndarray:
+    """(f01 - f00) + (f10 - f11) over the 4-way fonts of each qubit-A minor matrix in d."""
+    f00, f01, f10, f11 = _four_way(d)
+    return (f01 - f00) + (f10 - f11)
 
 
 def four_invariant(state: PureState) -> complex:
     """(four_way[0][1] - four_way[0][0]) + (four_way[1][0] - four_way[1][1])."""
-    return _invariant_of(four_qubit_fonts(state))
+    return complex(_four_invariants(_leading_minors(state, 4)))
 
 
 def four_tangle(state: PureState) -> float:
     """4 |four_invariant|^2."""
     return 4.0 * abs(four_invariant(state)) ** 2
+
+
+def _four_tangles(d: np.ndarray) -> np.ndarray:
+    """Four-tangle 4 |four_invariant|^2 of each qubit-A minor matrix in d."""
+    invariant = _four_invariants(d)
+    return 4.0 * np.hypot(invariant.real, invariant.imag) ** 2
 
 
 def covariance_check_4(
@@ -265,8 +295,9 @@ def covariance_check_4(
             for i3 in (0, 1)
             for i4 in (0, 1)
         ]
+    # four_invariant is diff[0] + diff[1]
     relations.append(
-        ("four_invariant_magnitude", abs(_invariant_of(primed)), abs(_invariant_of(base)))
+        ("four_invariant_magnitude", abs(diff_p[0] + diff_p[1]), abs(diff[0] + diff[1]))
     )
     return [CovarianceReport(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
 
@@ -275,21 +306,26 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     """Max deviation of the tangle under products of Haar single-qubit unitaries.
 
     Each trial applies one independent Haar unitary per qubit, seeded from
-    (seed, trial) so results do not depend on evaluation order.
+    (seed, trial) so results do not depend on evaluation order.  Trials run
+    in blocks of a few hundred, so memory stays bounded: a block draws the
+    same unitaries as ``haar_unitary`` per trial would, takes one stacked QR,
+    rotates a stack of amplitude vectors and evaluates its tangles together.
+    Every check of the per-trial values (finite, unitary and normalized to
+    the LocalUnitary and PureState tolerances, and for three qubits the
+    primary/alternate agreement of ``three_tangle``) runs on each block.
     """
     n = state.n_qubits
     if n == 3:
-        measure = three_tangle
+        reference, tangles = three_tangle(state), _three_tangles
     elif n == 4:
-        measure = four_tangle
+        reference, tangles = four_tangle(state), _four_tangles
     else:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    reference = measure(state)
     worst = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        lus = [LocalUnitary(q, haar_unitary(rng)) for q in range(1, n + 1)]
-        worst = max(worst, abs(measure(apply_local_unitary(state, *lus)) - reference))
+    for start in range(0, trials, _SWEEP_BLOCK):
+        amps = _haar_rotated(state, seed, range(start, min(start + _SWEEP_BLOCK, trials)))
+        deviation = np.abs(tangles(_minor_matrix(amps, n, 1)) - reference)
+        worst = max(worst, float(deviation.max()))
     return worst

@@ -86,15 +86,29 @@ def font_minors(state: PureState, p: int) -> np.ndarray:
     n = state.n_qubits
     if not 1 <= p <= n:
         raise ValueError(f"qubit {p} out of range for {n} qubits")
-    rows = state.amplitudes.reshape(2 ** (p - 1), 2, 2 ** (n - p))
-    m0, m1 = rows[:, 0].reshape(-1, 1), rows[:, 1].reshape(1, -1)
-    # m0[u] m1[v] in the real arithmetic of a scalar complex product, so every
-    # minor equals its Python-complex evaluation bit for bit; NumPy's
-    # vectorised complex multiply can differ in the last bit
-    prod = np.empty((m0.size, m1.size), dtype=np.complex128)
-    prod.real = m0.real * m1.real - m0.imag * m1.imag
-    prod.imag = m0.real * m1.imag + m0.imag * m1.real
-    return prod - prod.T
+    return _minor_matrix(state.amplitudes, n, p)
+
+
+def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:
+    """``font_minors`` of each amplitude vector in the stack amps (..., 2**n)."""
+    lead = amps.shape[:-1]
+    rows = amps.reshape(lead + (2 ** (p - 1), 2, 2 ** (n - p)))
+    m0 = rows[..., 0, :].reshape(lead + (-1, 1))
+    m1 = rows[..., 1, :].reshape(lead + (1, -1))
+    prod = _product(m0, m1)
+    return prod - np.swapaxes(prod, -1, -2)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast a * b in the real arithmetic of a scalar complex product.
+
+    Every entry equals its Python-complex evaluation bit for bit; NumPy's
+    vectorised complex multiply can differ in the last bit.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ operation mutates its inputs.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -62,11 +63,32 @@ def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray
     arr = np.array(getattr(value, name), dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite")
+    _check_finite(arr, what)
     arr.setflags(write=False)
     object.__setattr__(value, name, arr)
     return arr
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+
+
+def _check_norm(amps: np.ndarray) -> None:
+    """Raise unless every amplitude vector along the last axis has unit norm.
+
+    A NaN norm would pass, so callers check finiteness first.
+    """
+    deviation = np.abs(np.linalg.norm(amps, axis=-1) - 1.0).max()
+    if deviation > NORM_TOL:
+        raise ValueError(f"state is not normalized: |norm - 1| = {deviation:.3e}")
+
+
+def _check_unitary(m: np.ndarray) -> None:
+    """Raise unless every 2x2 matrix in the stack m is unitary; callers check finiteness first."""
+    defect = np.abs(np.swapaxes(m, -1, -2).conj() @ m - np.eye(2)).max()
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +136,7 @@ class PureState:
     def __post_init__(self) -> None:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = _frozen_copy(self, "amplitudes", (2**self.n_qubits,))
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        _check_norm(_frozen_copy(self, "amplitudes", (2**self.n_qubits,)))
 
     @property
     def dim(self) -> int:
@@ -142,10 +161,7 @@ class LocalUnitary:
     def __post_init__(self) -> None:
         if self.target < 1:
             raise ValueError(f"target qubit must be >= 1, got {self.target}")
-        m = _frozen_copy(self, "matrix", (2, 2))
-        defect = np.abs(m.conj().T @ m - np.eye(2)).max()
-        if defect > UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
+        _check_unitary(_frozen_copy(self, "matrix", (2, 2)))
 
     def dagger(self) -> "LocalUnitary":
         return LocalUnitary(self.target, self.matrix.conj().T)
@@ -249,20 +265,46 @@ def product_state(factors: Sequence[tuple[complex, complex]]) -> PureState:
     return PureState(n, amps, norm_shift=shift)
 
 
-def su2_rotation(x: complex) -> np.ndarray:
-    """The unit-determinant unitary [[1, -conj(x)], [x, 1]] / sqrt(1 + |x|^2)."""
+def _rotation_parameter(x: complex) -> complex:
+    """x as a complex number; ValueError unless 1 + |x|^2 is finite (so x is too)."""
     x = complex(x)
+    magnitude = math.hypot(x.real, x.imag)
+    if not math.isfinite(1.0 + magnitude * magnitude):
+        raise ValueError(f"rotation parameter must be finite with 1 + |x|^2 finite, got {x!r}")
+    return x
+
+
+def su2_rotation(x: complex) -> np.ndarray:
+    """The unit-determinant unitary [[1, -conj(x)], [x, 1]] / sqrt(1 + |x|^2).
+
+    Raises ValueError, before any arithmetic, when 1 + |x|^2 is not finite.
+    """
+    x = _rotation_parameter(x)
     return np.array([[1.0, -np.conj(x)], [x, 1.0]], dtype=np.complex128) / np.sqrt(
         1.0 + abs(x) ** 2
     )
 
 
-def haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed 2x2 unitary (QR of a Ginibre matrix with phase fix)."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar 2x2 unitaries from Ginibre draws g (..., 2, 2, 2): real parts, then imaginary.
+
+    One stacked QR; each column of Q is multiplied by the phase of the matching
+    diagonal entry of R (Mezzadri 2007), which makes the distribution Haar.
+    """
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 2x2 unitary: QR of a Ginibre matrix with the Mezzadri phase fix.
+
+    Draws ``rng.standard_normal((2, 2, 2))``, the real then the imaginary
+    parts, so n calls on one generator give the same unitaries as one
+    ``standard_normal((n, 2, 2, 2))`` draw, which ``lu_invariance_sweep`` uses.
+    """
+    return _haar_from_ginibre(rng.standard_normal((2, 2, 2)))
 
 
 def random_state(n: int, seed: int) -> PureState:
@@ -292,14 +334,41 @@ def random_local_unitary(target: int, seed: int) -> LocalUnitary:
     return LocalUnitary(target, haar_unitary(np.random.default_rng(seed)))
 
 
+def _apply_on_qubit(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Amplitude vectors amps (..., 2**n) with qubit q's index transformed by u (..., 2, 2)."""
+    view = amps.reshape(amps.shape[:-1] + (2 ** (q - 1), 2, 2 ** (n - q)))
+    return (u[..., None, :, :] @ view).reshape(amps.shape)
+
+
 def apply_local_unitary(state: PureState, *lus: LocalUnitary) -> PureState:
     """Transform each target qubit's index by its 2x2 matrix, in order, into one new state."""
     n, amps = state.n_qubits, state.amplitudes
     for lu in lus:
         if lu.target > n:
             raise ValueError(f"target qubit {lu.target} out of range for {n} qubits")
-        amps = lu.matrix @ amps.reshape(2 ** (lu.target - 1), 2, 2 ** (n - lu.target))
-    return PureState(n, amps.reshape(-1))
+        amps = _apply_on_qubit(amps, lu.matrix, lu.target, n)
+    return PureState(n, amps)
+
+
+def _haar_rotated(state: PureState, seed: int, trials: range) -> np.ndarray:
+    """Amplitudes of ``state`` after each trial's product of Haar unitaries, one row per trial.
+
+    Trial t draws its n unitaries from ``default_rng((seed, t))``, in qubit
+    order, exactly as n ``haar_unitary`` calls on that generator would.  The
+    stacks get the checks a LocalUnitary and a PureState make, at the same
+    tolerances: finite and unitary, then finite and normalized.
+    """
+    n = state.n_qubits
+    draws = [np.random.default_rng((seed, t)).standard_normal((n, 2, 2, 2)) for t in trials]
+    unitaries = _haar_from_ginibre(np.stack(draws))
+    _check_finite(unitaries, "Haar unitaries")
+    _check_unitary(unitaries)
+    amps = np.broadcast_to(state.amplitudes, (len(trials), state.dim))
+    for q in range(1, n + 1):
+        amps = _apply_on_qubit(amps, unitaries[:, q - 1], q, n)
+    _check_finite(amps, "rotated amplitudes")
+    _check_norm(amps)
+    return amps
 
 
 def density(state: PureState) -> DensityOperator:

@@ -276,6 +276,15 @@ class TestCheck:
             code, _, _ = run_cli(["check", str(path), "--covariance", bad], capsys)
             assert code == 2, bad
 
+    @pytest.mark.parametrize("param", ["nan,0", "0,nan", "inf,0", "-inf,0", "1e160,0", "1e200,0"])
+    @pytest.mark.parametrize("n, qubit", [(3, "B"), (4, "A"), (4, "B")])
+    def test_unbounded_covariance_parameter_is_usage_error(self, tmp_path, capsys, n, qubit, param):
+        path = write_state(tmp_path, "r.json", "random", str(n), "--seed", "2", capsys=capsys)
+        code, out, err = run_cli(["check", str(path), "--covariance", f"{qubit},{param}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("tanglekit: rotation parameter")
+
     def test_bad_lu_sweep_spec(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         for bad in ("5", "x,1", "5,y", "-1,3", "5,-3"):
@@ -368,6 +377,22 @@ class TestSubprocessEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_nan_covariance_parameter_prints_no_warning(self, tmp_path):
+        path = tmp_path / "ghz4.json"
+        subprocess.run(
+            [sys.executable, "-m", "tanglekit", "gen", "ghz", "4", "--out", str(path)], check=True
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "tanglekit", "check", str(path), "--covariance", "B,nan,0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "tanglekit: rotation parameter must be finite with 1 + |x|^2 finite, got (nan+0j)\n"
+        )
 
     def test_normalization_warning_is_one_line(self, tmp_path):
         path = tmp_path / "unnormalized.json"

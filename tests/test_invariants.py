@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,15 @@ from tanglekit import (
     four_qubit_fonts,
     four_tangle,
     ghz,
+    haar_unitary,
+    invariants,
     lu_invariance_sweep,
     make_state,
     monogamy_residual,
     product_identity_residual,
+    random_product_state,
     random_state,
+    states,
     su2_rotation,
     three_qubit_fonts,
     three_tangle,
@@ -24,6 +30,40 @@ from tanglekit import (
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
+BLOCK = invariants._SWEEP_BLOCK
+SWEEP_STATES = {
+    "random": lambda n: random_state(n, 31),
+    "ghz": ghz,
+    "w": w_state,
+    "product": lambda n: random_product_state(n, 5),
+}
+
+
+def per_trial_sweep(state, trials, seed):
+    """Reference for lu_invariance_sweep: each trial's tangle deviation, one trial at a time.
+
+    Trial t draws n haar_unitary from default_rng((seed, t)), applies them as
+    LocalUnitary values and measures the rotated PureState.
+    """
+    n = state.n_qubits
+    measure = three_tangle if n == 3 else four_tangle
+    reference = measure(state)
+    deviations = []
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        lus = [LocalUnitary(q, haar_unitary(rng)) for q in range(1, n + 1)]
+        deviations.append(abs(measure(apply_local_unitary(state, *lus)) - reference))
+    return deviations
+
+
+def scaled_off_unitary(u):
+    return u * (1 + 1e-9)
+
+
+def with_nan_entry(u):
+    u = u.copy()
+    u[-1, -1, 1, 0] = np.nan
+    return u
 
 
 def random_product_across(n, cut, seed):
@@ -277,15 +317,88 @@ class TestLuInvarianceSweep:
             lu_invariance_sweep(ghz(5), 10, 0)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_builds_one_state_per_trial(self, n, monkeypatch):
+    def test_builds_no_value_objects_per_trial(self, n, monkeypatch):
         s = random_state(n, 2)
         built = []
-        validate = PureState.__post_init__
+        for cls in (PureState, LocalUnitary):
+            def counting(self, validate=cls.__post_init__):
+                built.append(self)
+                validate(self)
 
-        def counting(self):
-            built.append(self)
-            validate(self)
-
-        monkeypatch.setattr(PureState, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__post_init__", counting)
         lu_invariance_sweep(s, 30, 4)
-        assert len(built) == 30
+        assert built == []
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", sorted(SWEEP_STATES))
+    def test_matches_per_trial_oracle(self, n, kind):
+        s = SWEEP_STATES[kind](n)
+        deviations = per_trial_sweep(s, 3 * BLOCK + 7, 19)
+        for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+            assert abs(lu_invariance_sweep(s, trials, 19) - max(deviations[:trials])) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_draws_the_haar_unitaries_of_each_trial(self, n, monkeypatch):
+        drawn = []
+        original = states._haar_from_ginibre
+
+        def recording(g):
+            drawn.append(original(g))
+            return drawn[-1]
+
+        monkeypatch.setattr(states, "_haar_from_ginibre", recording)
+        trials, seed = BLOCK + 3, 8
+        lu_invariance_sweep(random_state(n, 1), trials, seed)
+        monkeypatch.undo()
+        unitaries = np.concatenate(drawn)
+        assert unitaries.shape == (trials, n, 2, 2)
+        for trial in range(trials):
+            rng = np.random.default_rng((seed, trial))
+            for q in range(n):
+                assert np.array_equal(unitaries[trial, q], haar_unitary(rng))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [(scaled_off_unitary, "not unitary"), (with_nan_entry, "finite")],
+        ids=["scaled", "nan"],
+    )
+    def test_block_checks_reject_bad_unitaries(self, corrupt, message, monkeypatch):
+        original = states._haar_from_ginibre
+        monkeypatch.setattr(states, "_haar_from_ginibre", lambda g: corrupt(original(g)))
+        with pytest.raises(ValueError, match=message):
+            lu_invariance_sweep(random_state(4, 3), 10, 0)
+
+    def test_block_norm_check_rejects_unnormalized_states(self, monkeypatch):
+        # with the unitarity check out of the way, the state check still fires
+        original = states._haar_from_ginibre
+        monkeypatch.setattr(states, "_haar_from_ginibre", lambda g: scaled_off_unitary(original(g)))
+        monkeypatch.setattr(states, "_check_unitary", lambda u: None)
+        with pytest.raises(ValueError, match="not normalized"):
+            lu_invariance_sweep(random_state(3, 3), 10, 0)
+
+    def test_block_form_disagreement_raises(self, monkeypatch):
+        original = invariants._three_tangle_forms
+
+        def disagreeing_on_blocks(d):
+            primary, alternate = original(d)
+            return primary, alternate + (1e-6 if d.ndim > 2 else 0.0)
+
+        monkeypatch.setattr(invariants, "_three_tangle_forms", disagreeing_on_blocks)
+        s = random_state(3, 5)
+        three_tangle(s)  # the unrotated state alone passes
+        with pytest.raises(RuntimeError, match="disagree"):
+            lu_invariance_sweep(s, 5, 0)
+
+    def test_memory_bounded_by_block(self):
+        s = random_state(4, 6)
+        lu_invariance_sweep(s, BLOCK, 3)  # first-call set-up outside the measurement
+        tracemalloc.start()
+        try:
+            lu_invariance_sweep(s, BLOCK, 3)
+            one_block = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            lu_invariance_sweep(s, 16 * BLOCK, 3)
+            sixteen_blocks = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sixteen_blocks <= 1.5 * one_block

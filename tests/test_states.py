@@ -101,6 +101,18 @@ class TestSu2Rotation:
         expected = np.array([[1, -1], [1, 1]]) / np.sqrt(2)
         np.testing.assert_allclose(su2_rotation(1), expected, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "x", [complex("nan"), complex(0, float("nan")), float("inf"), -float("inf"), 1e160, 1e200j]
+    )
+    def test_rejects_parameter_with_unbounded_norm(self, x):
+        with pytest.raises(ValueError, match="rotation parameter"):
+            su2_rotation(x)
+
+    def test_largest_parameters_still_unitary(self):
+        for x in (1e154, 1e150 - 1e150j):
+            u = su2_rotation(x)
+            assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+
     @pytest.mark.parametrize("x", [0.3, -2.0, 1j, 0.7 - 1.4j, 5 + 3j])
     def test_unitary_with_unit_determinant(self, x):
         u = su2_rotation(x)

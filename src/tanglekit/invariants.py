@@ -89,23 +89,24 @@ def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
     return ThreeQubitFonts(three_way=(t0, t1), b_fixed=(b0, b1), c_fixed=(c0, c1))
 
 
-def _three_tangle_forms(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """4 |(t1 - t0)^2 - 4 b1 b0| and the alternate 4 |(t1 + t0)^2 - 4 c0 c1| of each d.
+def _three_tangle_forms(*fonts: np.ndarray | complex) -> tuple[np.ndarray, np.ndarray]:
+    """4 |(t1 - t0)^2 - 4 b1 b0| and the alternate 4 |(t1 + t0)^2 - 4 c0 c1|.
 
-    Products and magnitudes follow Python complex arithmetic, so every value
-    equals its scalar evaluation on the ThreeQubitFonts fields bit for bit.
+    The fonts (t0, t1, b0, b1, c0, c1) are Python complex numbers or stacked
+    arrays.  Products and magnitudes follow Python complex arithmetic either
+    way, so every stacked value equals its scalar evaluation bit for bit.
     """
-    t0, t1, b0, b1, c0, c1 = _three_fonts(d)
+    t0, t1, b0, b1, c0, c1 = fonts
     primary = _product(t1 - t0, t1 - t0) - _product(4.0 * b1, b0)
     alternate = _product(t1 + t0, t1 + t0) - _product(4.0 * c0, c1)
     return (4.0 * np.hypot(primary.real, primary.imag),
             4.0 * np.hypot(alternate.real, alternate.imag))
 
 
-def _three_tangles(d: np.ndarray) -> np.ndarray:
-    """Three-tangle of each qubit-A minor matrix in d, checked against the alternate form."""
-    primary, alternate = _three_tangle_forms(d)
-    gap = np.max(np.abs(primary - alternate))
+def _three_tangles(*fonts: np.ndarray | complex) -> np.ndarray:
+    """Three-tangle of the fonts (t0, t1, b0, b1, c0, c1), checked against the alternate form."""
+    primary, alternate = _three_tangle_forms(*fonts)
+    gap = np.abs(primary - alternate).max()
     if gap > _ALT_FORM_TOL:
         raise RuntimeError(f"primary and alternate tangle forms disagree by {gap:.3e}")
     return primary
@@ -113,7 +114,8 @@ def _three_tangles(d: np.ndarray) -> np.ndarray:
 
 def three_tangle(state: PureState) -> float:
     """4 |(three_way[1] - three_way[0])^2 - 4 b_fixed[1] b_fixed[0]|."""
-    return float(_three_tangles(_leading_minors(state, 3)))
+    # Python complex fonts spare the stacked formula NumPy's 0-d array overhead
+    return float(_three_tangles(*(complex(f) for f in _three_fonts(_leading_minors(state, 3)))))
 
 
 def product_identity_residual(state: PureState) -> float:
@@ -316,7 +318,7 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     """
     n = state.n_qubits
     if n == 3:
-        reference, tangles = three_tangle(state), _three_tangles
+        reference, tangles = three_tangle(state), lambda d: _three_tangles(*_three_fonts(d))
     elif n == 4:
         reference, tangles = four_tangle(state), _four_tangles
     else:

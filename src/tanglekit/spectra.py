@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import DensityOperator, PureState
-from .transpose import kway_pt
+from .transpose import _rest_distance, kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
 NEG_EIG_TOL = 1e-12
@@ -99,12 +99,15 @@ def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:
     return prod - np.swapaxes(prod, -1, -2)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray | complex, b: np.ndarray | complex) -> np.ndarray | complex:
     """Broadcast a * b in the real arithmetic of a scalar complex product.
 
     Every entry equals its Python-complex evaluation bit for bit; NumPy's
-    vectorised complex multiply can differ in the last bit.
+    vectorised complex multiply can differ in the last bit.  Two scalars,
+    which NumPy would wrap in slow 0-d arrays, multiply as Python complex.
     """
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return complex(a) * complex(b)
     out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -151,7 +154,8 @@ def enumerate_fonts(state: PureState, p: int) -> Fonts:
     # flat labels laid out as the amplitude rows in font_minors
     index = np.arange(2**n).reshape(2 ** (p - 1), 2, 2 ** (n - p))
     i, j = index[:, 0].reshape(-1)[u], index[:, 1].reshape(-1)[v]
-    k = sum(((i ^ j) >> shift) & 1 for shift in range(n))
+    # the labels differ in bit p and in the rest bits u, v
+    k = 1 + _rest_distance(n - 1)[u, v].astype(np.int64)
     return Fonts(p, i, j, k, det, -magnitude, magnitude <= FONT_ZERO_TOL)
 
 

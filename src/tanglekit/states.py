@@ -29,10 +29,10 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
     """Integer encoding of a bit string, qubit 1 as the most significant bit."""
     value = 0
     for b in bits:
-        b = int(b)
-        if b not in (0, 1):
+        # int() alone would also read other scripts' digits, Arabic-Indic or fullwidth
+        if b not in ("0", "1", 0, 1):
             raise ValueError(f"bit string may contain only 0 and 1, got {bits!r}")
-        value = (value << 1) | b
+        value = (value << 1) | int(b)
     return value
 
 
@@ -103,7 +103,7 @@ class BasisIndex:
 
     @classmethod
     def from_string(cls, bits: str) -> "BasisIndex":
-        return cls(tuple(int(b) for b in bits))
+        return cls(tuple(bits_to_index(b) for b in bits))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "BasisIndex":

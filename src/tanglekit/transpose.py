@@ -2,11 +2,11 @@
 
 The global partial transpose with respect to qubit p swaps the p-th bit of
 the row and column labels of every matrix element.  A K-way partial
-transpose applies that swap selectively, keyed by the Hamming distance
-between the two labels: for K > 2 only elements at distance exactly K are
-touched, while the K = 2 transpose deliberately covers distances 1 and 2.
-In both cases the element must also differ in bit p.  With that asymmetric
-K = 2 rule the transposes satisfy, for every p,
+transpose applies that swap only where the two labels differ in bit p, so
+it changes only the two off-diagonal blocks of qubit p.  There the Hamming
+distance of the labels is 1 plus the distance r of their other n - 1 bits,
+and the K-way transpose selects the elements with r = K - 1, or r <= 1 when
+K = 2.  With that asymmetric K = 2 rule the transposes satisfy, for every p,
 
     global_pt(rho, p) == sum(kway_pt(rho, p, K) for K in 2..n) - (n - 2) * rho
 
@@ -18,23 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import BasisIndex, DensityOperator
-
-
-def k_label(i: str | BasisIndex, j: str | BasisIndex) -> int:
-    """Hamming distance between two equal-length basis labels."""
-    i = i.string if isinstance(i, BasisIndex) else i
-    j = j.string if isinstance(j, BasisIndex) else j
-    if len(i) != len(j):
-        raise ValueError(f"length mismatch: {i!r} vs {j!r}")
-    return sum(a != b for a, b in zip(i, j))
+from .states import DensityOperator
 
 
 @lru_cache(maxsize=None)
-def _hamming_table(n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    table = np.zeros((2**n, 2**n), dtype=np.uint8)
-    for shift in range(n):
+def _rest_distance(m: int) -> np.ndarray:
+    """Read-only (2**m, 2**m) uint8 table of popcount(u ^ v) over m-bit labels u, v."""
+    idx = np.arange(2**m)
+    table = np.zeros((2**m, 2**m), dtype=np.uint8)
+    for shift in range(m):
         bit = ((idx >> shift) & 1).astype(np.uint8)
         table += bit[:, None] ^ bit[None, :]
     table.setflags(write=False)
@@ -62,22 +54,24 @@ def global_pt(rho: DensityOperator, p: int) -> DensityOperator:
 def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
     """Selective partial transpose of qubit p touching only K-way elements.
 
-    Elements whose labels differ in bit p and lie at Hamming distance K
-    (distance 1 or 2 when K = 2) take their globally transposed value; all
-    other elements are copied unchanged.
+    An element whose labels differ in bit p, and whose other n - 1 bits lie
+    at Hamming distance K - 1 (at most 1 when K = 2), takes its globally
+    transposed value; every other element is copied unchanged.
     """
     _require_qubit(rho, p)
     n = rho.n_qubits
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
-    distance = _hamming_table(n)
-    # the K = 2 transpose intentionally includes the distance-1 elements; the
-    # distance-0 (diagonal) elements it also selects never differ in bit p
-    selected = distance <= 2 if K == 2 else distance == K
-    # qubit 1 is the most significant bit, so qubit p sits at position n - p
-    bit = (np.arange(2**n) >> (n - p)) & 1
-    mask = selected & (bit[:, None] != bit[None, :])
-    return DensityOperator(n, np.where(mask, _swap_bit(rho, p), rho.matrix))
+    # qubit 1 is the most significant bit: a label is (high bits, bit p, low bits)
+    high, low = 2 ** (p - 1), 2 ** (n - p)
+    distance = _rest_distance(n - 1).reshape(high, low, high, low)
+    selected = distance <= 1 if K == 2 else distance == K - 1
+    blocks = rho.matrix.reshape(high, 2, low, high, 2, low)
+    out = rho.matrix.copy()
+    view = out.reshape(blocks.shape)
+    np.copyto(view[:, 0, :, :, 1], blocks[:, 1, :, :, 0], where=selected)
+    np.copyto(view[:, 1, :, :, 0], blocks[:, 0, :, :, 1], where=selected)
+    return DensityOperator(n, out)
 
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:

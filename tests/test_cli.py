@@ -144,6 +144,18 @@ class TestMeasure:
         assert err.count("\n") == 1 and "finite" in err
 
     @pytest.mark.parametrize(
+        "index", ["0\u0661", "\uff10\uff11"], ids=["arabic-indic", "fullwidth"]
+    )
+    def test_non_ascii_digit_index_is_bad_state(self, index, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        entry = {"index": index, "re": 1.0, "im": 0.0}
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes": [entry]}), encoding="utf-8")
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and "only 0 and 1" in err
+
+    @pytest.mark.parametrize(
         "value",
         ['"0.6"', "true", "null", "1" * 400, "1" * 5000],
         ids=["string", "bool", "null", "past-float-range", "past-int-digit-limit"],

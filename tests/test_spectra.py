@@ -16,7 +16,6 @@ from tanglekit import (
     haar_unitary,
     hermitian_eigenvalues,
     index_to_bits,
-    k_label,
     kway_negativity,
     make_state,
     product_state,
@@ -198,7 +197,8 @@ class TestFonts:
                 assert not ((fonts.i >> (3 - p)) & 1).any()
                 assert ((fonts.j >> (3 - p)) & 1).all()
                 for i, j, k in zip(fonts.i, fonts.j, fonts.k):
-                    assert k == k_label(index_to_bits(i, 3), index_to_bits(j, 3))
+                    labels = zip(index_to_bits(i, 3), index_to_bits(j, 3))
+                    assert k == sum(a != b for a, b in labels)
                 assert (fonts.k >= 2).all()  # spanning vectors distinct
                 assert fonts.lambda_minus.tolist() == [-abs(d) for d in fonts.det.tolist()]
 

@@ -262,6 +262,18 @@ class TestBasisIndex:
         with pytest.raises(ValueError):
             BasisIndex.from_string("012")
 
+    @pytest.mark.parametrize(
+        "bits", ["\uff10\uff11", "0\u0661"], ids=["fullwidth", "arabic-indic"]
+    )
+    def test_rejects_non_ascii_digits(self, bits):
+        # int() reads these as 0 and 1; labels accept only the characters "0" and "1"
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            random_state(2, 1).amplitude(bits)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            density(random_state(2, 1)).element("00", bits)
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            BasisIndex.from_string(bits)
+
 
 # (constructor, stored attribute, valid input, input of the wrong shape)
 VALUE_TYPES = [
@@ -356,6 +368,7 @@ class TestStateFileFormat:
             {"n_qubits": 1, "amplitudes": [{"index": "0", "re": 1.0, "im": "0.0"}]},
             {"n_qubits": 1, "amplitudes": [{"index": "0", "re": None, "im": 0.0}]},
             {"n_qubits": 1, "amplitudes": [{"index": "0", "re": 10**400, "im": 0.0}]},
+            {"n_qubits": 2, "amplitudes": [{"index": "0\u0661", "re": 1.0, "im": 0.0}]},
         ],
     )
     def test_reader_rejects_malformed_payloads(self, payload):

@@ -7,7 +7,6 @@ from tanglekit import (
     density,
     ghz,
     global_pt,
-    k_label,
     kway_negativity,
     kway_pt,
     make_state,
@@ -23,6 +22,13 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 def bell_density():
     return density(make_state(2, [("00", INV_SQRT2), ("11", INV_SQRT2)]))
+
+
+def k_label(i, j):
+    """Hamming distance between two equal-length basis labels."""
+    if len(i) != len(j):
+        raise ValueError(f"length mismatch: {i!r} vs {j!r}")
+    return sum(a != b for a, b in zip(i, j))
 
 
 class TestKLabel:
@@ -143,6 +149,18 @@ def brute_force_kway_pt(matrix, n, p, K):
     return np.array(out)
 
 
+def masked_kway_pt(matrix, n, p, K):
+    """The same rule vectorised over the full matrix: an N x N Hamming-distance
+    table and a bit-p mask choose between rho and its global transpose."""
+    idx = np.arange(2**n)
+    distance = sum(((idx[:, None] ^ idx[None, :]) >> shift) & 1 for shift in range(n))
+    bit = (idx >> (n - p)) & 1
+    selected = distance <= 2 if K == 2 else distance == K
+    mask = selected & (bit[:, None] != bit[None, :])
+    swapped = np.swapaxes(matrix.reshape((2,) * (2 * n)), p - 1, n + p - 1).reshape(matrix.shape)
+    return np.where(mask, swapped, matrix)
+
+
 class TestKWayOracle:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_element_rule(self, n):
@@ -155,6 +173,14 @@ class TestKWayOracle:
                 eigs = np.linalg.eigvalsh(expected)
                 negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
                 assert abs(kway_negativity(rho, p, K) - negativity) < 1e-12
+
+    @pytest.mark.parametrize("n", range(7, 11))
+    def test_matches_masked_rule_at_large_n(self, n):
+        rho = density(random_state(n, 700 + n))
+        for p in sorted({1, (n + 1) // 2, n}):
+            for K in range(2, n + 1) if n < 10 else (2, 3, n):
+                expected = masked_kway_pt(rho.matrix, n, p, K)
+                np.testing.assert_array_equal(kway_pt(rho, p, K).matrix, expected)
 
     @pytest.mark.parametrize("keep", [(1, 2, 3), (2, 3, 4), (4, 1, 3)])
     def test_negativity_of_mixed_operator(self, keep):

@@ -87,6 +87,8 @@ def _load_state(path: str) -> PureState:
             text = handle.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_BAD_STATE, f"{path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit

@@ -228,26 +228,27 @@ def four_qubit_fonts(state: PureState) -> FourQubitFonts:
     )
 
 
-def _four_invariants(d: np.ndarray) -> np.ndarray:
-    """(f01 - f00) + (f10 - f11) over the 4-way fonts of each qubit-A minor matrix in d."""
-    f00, f01, f10, f11 = _four_way(d)
+def _four_invariants(*fonts: np.ndarray | complex) -> np.ndarray | complex:
+    """(f01 - f00) + (f10 - f11) of the 4-way fonts (f00, f01, f10, f11), scalar or stacked."""
+    f00, f01, f10, f11 = fonts
     return (f01 - f00) + (f10 - f11)
 
 
 def four_invariant(state: PureState) -> complex:
     """(four_way[0][1] - four_way[0][0]) + (four_way[1][0] - four_way[1][1])."""
-    return complex(_four_invariants(_leading_minors(state, 4)))
+    return _four_invariants(*(complex(f) for f in _four_way(_leading_minors(state, 4))))
+
+
+def _four_tangles(invariant: np.ndarray | complex) -> np.ndarray:
+    """Four-tangle 4 h * h, h = |invariant|, of a Python complex or stacked four_invariant."""
+    # hypot is Python's abs(complex): every stacked value equals its scalar evaluation
+    h = np.hypot(invariant.real, invariant.imag)
+    return 4.0 * h * h
 
 
 def four_tangle(state: PureState) -> float:
     """4 |four_invariant|^2."""
-    return 4.0 * abs(four_invariant(state)) ** 2
-
-
-def _four_tangles(d: np.ndarray) -> np.ndarray:
-    """Four-tangle 4 |four_invariant|^2 of each qubit-A minor matrix in d."""
-    invariant = _four_invariants(d)
-    return 4.0 * np.hypot(invariant.real, invariant.imag) ** 2
+    return float(_four_tangles(four_invariant(state)))
 
 
 def covariance_check_4(
@@ -297,10 +298,8 @@ def covariance_check_4(
             for i3 in (0, 1)
             for i4 in (0, 1)
         ]
-    # four_invariant is diff[0] + diff[1]
-    relations.append(
-        ("four_invariant_magnitude", abs(diff_p[0] + diff_p[1]), abs(diff[0] + diff[1]))
-    )
+    relations.append(("four_invariant_magnitude",
+                      abs(_four_invariants(*g[0], *g[1])), abs(_four_invariants(*f[0], *f[1]))))
     return [CovarianceReport(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
 
 
@@ -320,7 +319,8 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     if n == 3:
         reference, tangles = three_tangle(state), lambda d: _three_tangles(*_three_fonts(d))
     elif n == 4:
-        reference, tangles = four_tangle(state), _four_tangles
+        reference = four_tangle(state)
+        tangles = lambda d: _four_tangles(_four_invariants(*_four_way(d)))
     else:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     if trials < 0:

@@ -43,15 +43,12 @@ def index_to_bits(value: int, n: int) -> str:
 
 
 def parse_qubit(label: str | int, n: int) -> int:
-    """Qubit number of a letter (A is qubit 1) or 1-based integer label, checked against n."""
+    """Qubit of an ASCII letter (A is qubit 1) or of ASCII digits (1-based), checked against n."""
     text = str(label).strip()
-    if len(text) == 1 and text.isalpha():
-        q = ord(text.upper()) - ord("A") + 1
-    else:
-        try:
-            q = int(text)
-        except ValueError:
-            raise ValueError(f"invalid qubit {label!r}") from None
+    # isalpha() and int() alone would also take 'ß' (two letters upper-cased) or fullwidth digits
+    if not text.isascii() or not (text.isdigit() or len(text) == 1 and text.isalpha()):
+        raise ValueError(f"invalid qubit {label!r}")
+    q = int(text) if text.isdigit() else ord(text.upper()) - ord("A") + 1
     if not 1 <= q <= n:
         raise ValueError(f"qubit {label!r} out of range for {n} qubits")
     return q

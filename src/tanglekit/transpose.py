@@ -1,12 +1,12 @@
 """Global and K-way partial transposes of qubit state operators.
 
-The global partial transpose with respect to qubit p swaps the p-th bit of
-the row and column labels of every matrix element.  A K-way partial
-transpose applies that swap only where the two labels differ in bit p, so
-it changes only the two off-diagonal blocks of qubit p.  There the Hamming
+A partial transpose with respect to qubit p swaps the p-th bit of the row
+and column labels of selected elements of qubit p's two off-diagonal blocks,
+where the labels differ in bit p.  One kernel writes every transpose; the
+global one selects every element of the two blocks.  There the Hamming
 distance of the labels is 1 plus the distance r of their other n - 1 bits,
-and the K-way transpose selects the elements with r = K - 1, or r <= 1 when
-K = 2.  With that asymmetric K = 2 rule the transposes satisfy, for every p,
+and the K-way transpose selects r = K - 1, or r <= 1 when K = 2.  With that
+asymmetric K = 2 rule the transposes satisfy, for every p,
 
     global_pt(rho, p) == sum(kway_pt(rho, p, K) for K in 2..n) - (n - 2) * rho
 
@@ -38,17 +38,27 @@ def _require_qubit(rho: DensityOperator, p: int) -> None:
         raise ValueError(f"qubit {p} out of range for {rho.n_qubits} qubits")
 
 
-def _swap_bit(rho: DensityOperator, p: int) -> np.ndarray:
-    """rho's matrix with bit p of every row label exchanged with that of its column label."""
+def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarray:
+    """A copy of rho's matrix transposed in bit p: globally if K is None, else K-way."""
     n = rho.n_qubits
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    return np.swapaxes(tensor, p - 1, n + p - 1).reshape(rho.dim, rho.dim)
+    # qubit 1 is the most significant bit: a label is (high bits, bit p, low bits)
+    high, low = 2 ** (p - 1), 2 ** (n - p)
+    selected = True  # every element of the two blocks: the global transpose
+    if K is not None:
+        distance = _rest_distance(n - 1).reshape(high, low, high, low)
+        selected = distance <= 1 if K == 2 else distance == K - 1
+    blocks = rho.matrix.reshape(high, 2, low, high, 2, low)
+    out = rho.matrix.copy()
+    view = out.reshape(blocks.shape)
+    np.copyto(view[:, 0, :, :, 1], blocks[:, 1, :, :, 0], where=selected)
+    np.copyto(view[:, 1, :, :, 0], blocks[:, 0, :, :, 1], where=selected)
+    return out
 
 
 def global_pt(rho: DensityOperator, p: int) -> DensityOperator:
     """Partial transpose of qubit p: <i|out|j> = <j_p i_rest|rho|i_p j_rest>."""
     _require_qubit(rho, p)
-    return DensityOperator(rho.n_qubits, _swap_bit(rho, p))
+    return DensityOperator(rho.n_qubits, _transposed(rho, p))
 
 
 def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
@@ -62,16 +72,7 @@ def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
     n = rho.n_qubits
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
-    # qubit 1 is the most significant bit: a label is (high bits, bit p, low bits)
-    high, low = 2 ** (p - 1), 2 ** (n - p)
-    distance = _rest_distance(n - 1).reshape(high, low, high, low)
-    selected = distance <= 1 if K == 2 else distance == K - 1
-    blocks = rho.matrix.reshape(high, 2, low, high, 2, low)
-    out = rho.matrix.copy()
-    view = out.reshape(blocks.shape)
-    np.copyto(view[:, 0, :, :, 1], blocks[:, 1, :, :, 0], where=selected)
-    np.copyto(view[:, 1, :, :, 0], blocks[:, 0, :, :, 1], where=selected)
-    return DensityOperator(n, out)
+    return DensityOperator(n, _transposed(rho, p, K))
 
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:
@@ -82,6 +83,6 @@ def decomposition_residual(rho: DensityOperator, p: int) -> float:
         raise ValueError("decomposition requires at least 2 qubits")
     total = np.zeros_like(rho.matrix)
     for K in range(2, n + 1):
-        total = total + kway_pt(rho, p, K).matrix
+        total += _transposed(rho, p, K)
     total -= (n - 2) * rho.matrix
-    return float(np.abs(global_pt(rho, p).matrix - total).max())
+    return float(np.abs(_transposed(rho, p) - total).max())

@@ -5,9 +5,14 @@ public function of the library by name, so a schema change or a renamed
 public name fails here instead of only when the benchmark runs.
 """
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from tanglekit.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -50,3 +55,34 @@ def test_lu_checks_ops_pass_the_reference(tmp_path, monkeypatch):
             cwd=ROOT, capture_output=True, timeout=120,
         )
         assert reference.verify(op, proc.returncode, proc.stdout) == [], proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "STATE", "--negativity", "2", "--kway", "2,3"],
+    ["check", "STATE", "--decomposition"],
+])
+def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
+    # one op through the traced run: every wrapped value must still serve the
+    # tracer's work figures, and tracing must not change the op's output
+    state = tmp_path / "r4.json"
+    assert cli_main(["gen", "random", "4", "--seed", "5", "--out", str(state)]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    manifest = tmp_path / "manifest.json"
+    ops = [[str(state) if arg == "STATE" else arg for arg in argv]]
+    manifest.write_text(json.dumps({"ops": ops, "seconds": 0, "out_dir": str(out_dir)}))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "tracing.py"), str(manifest)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)["records"]
+    assert records
+    for record in records:
+        assert record["code"] == record["untraced_code"] == 0, proc.stderr
+        assert record["digest"] == record["untraced_digest"]
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    layers = tracing.layer_metrics(*tracing.load_spans(out_dir / "spans.npz"))
+    if argv[0] == "measure":
+        assert layers["transpose.kway_pt_calls"] >= 1

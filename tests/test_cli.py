@@ -125,6 +125,24 @@ class TestMeasure:
         code, _, _ = run_cli(["measure", str(path), "--tangle3"], capsys)
         assert code == 4
 
+    def test_non_utf8_file_is_bad_state(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and "UTF-8" in err
+
+    @pytest.mark.parametrize("label", ["ß", "ﬁ", "２"])
+    @pytest.mark.parametrize("flag", ["--negativity", "--fonts", "--kway"])
+    def test_non_ascii_qubit_is_usage_error(self, tmp_path, capsys, flag, label):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        value = f"{label},2" if flag == "--kway" else label
+        code, out, err = run_cli(["measure", str(path), flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "invalid qubit" in err
+
     def test_all_zero_state_is_bad_state(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n_qubits": 2, "amplitudes": []}))
@@ -240,6 +258,22 @@ class TestCheck:
         assert json.loads(out)["decomposition"] <= 1e-12
         assert err == ""
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_decomposition_builds_rho_once(self, n, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
+        built = []
+        validate = DensityOperator.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counting)
+        code, _, _ = run_cli(["check", str(path), "--decomposition"], capsys)
+        assert code == 0
+        # rho alone: the transposes summed in the residual are plain matrices
+        assert len(built) == 1
+
     def test_lu_sweep_ghz3(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         code, out, _ = run_cli(["check", str(path), "--lu-sweep", "500,42"], capsys)
@@ -281,6 +315,15 @@ class TestCheck:
             "four_invariant_magnitude",
         }
         assert all(c["residual"] <= 1e-9 and c["prefactor"] == 1.0 for c in checks)
+
+    @pytest.mark.parametrize("spec", ["ß,0.1,0.2", "ﬁ,0.1,0.2", "２,0.1,0.2"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_non_ascii_covariance_qubit_is_usage_error(self, tmp_path, capsys, n, spec):
+        path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
+        code, out, err = run_cli(["check", str(path), "--covariance", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "invalid qubit" in err
 
     def test_bad_covariance_spec(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)

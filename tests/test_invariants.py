@@ -255,6 +255,17 @@ class TestFourInvariantAndTangle:
             tau = four_tangle(random_state(4, seed))
             assert -1e-12 <= tau <= 1 + 1e-12
 
+    def test_one_state_equals_stacked_formula(self):
+        # the sweep's stacked four-tangle, written out here: the one-state value
+        # must equal it bit for bit, so a sweep of an invariant state reads 0
+        states = [random_state(4, seed) for seed in range(3000)]
+        states += [ghz(4), w_state(4), cluster4()]
+        states += [random_product_state(4, seed) for seed in range(20)]
+        d = _minor_matrix(np.array([s.amplitudes for s in states]), 4, 1)
+        inv = (d[:, 1, 6] - d[:, 0, 7]) + (d[:, 2, 5] - d[:, 3, 4])
+        stacked = 4.0 * np.hypot(inv.real, inv.imag) ** 2
+        assert [four_tangle(s) for s in states] == stacked.tolist()
+
 
 class TestCovariance4:
     @pytest.mark.parametrize("qubit", ["A", "B", "C", "D"])
@@ -284,6 +295,11 @@ class TestCovariance4:
     def test_unknown_qubit(self):
         with pytest.raises(ValueError, match="qubit"):
             covariance_check_4(ghz(4), "E", 1)
+
+    @pytest.mark.parametrize("qubit", ["ß", "ﬁ", "２", "+2"])
+    def test_invalid_qubit_label_is_value_error(self, qubit):
+        with pytest.raises(ValueError, match="invalid qubit"):
+            covariance_check_4(ghz(4), qubit, 0.3)
 
     def test_single_font_rotation_prefactor_is_rational(self):
         # each 4-way font under a C-rotation carries 1/(1+|y|^2), not the

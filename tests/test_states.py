@@ -25,6 +25,7 @@ from tanglekit import (
     su2_rotation,
     w_state,
 )
+from tanglekit.states import parse_qubit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -327,6 +328,28 @@ class TestValidation:
     def test_density_operator_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(1, np.diag([1.0, 1.0]))
+
+
+class TestParseQubit:
+    @pytest.mark.parametrize(
+        "label,q", [("A", 1), ("d", 4), ("1", 1), ("04", 4), (3, 3), (" 2 ", 2)]
+    )
+    def test_ascii_letter_or_digits(self, label, q):
+        assert parse_qubit(label, 4) == q
+
+    # letters that upper-case to two characters, non-ASCII letters and digits,
+    # and what int() alone would read: signs, underscores
+    @pytest.mark.parametrize(
+        "label", ["ß", "ﬁ", "é", "２", "٢", "+2", "-1", "1_0", "", "AB", "2a"]
+    )
+    def test_rejects_anything_else(self, label):
+        with pytest.raises(ValueError, match="invalid qubit"):
+            parse_qubit(label, 4)
+
+    @pytest.mark.parametrize("label", ["E", "5", "0", 0])
+    def test_out_of_range(self, label):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_qubit(label, 4)
 
 
 class TestStateFileFormat:

@@ -149,6 +149,12 @@ def brute_force_kway_pt(matrix, n, p, K):
     return np.array(out)
 
 
+def swapaxes_global_pt(matrix, n, p):
+    """The global transpose as one axis swap: bit p of the row label trades places
+    with bit p of the column label."""
+    return np.swapaxes(matrix.reshape((2,) * (2 * n)), p - 1, n + p - 1).reshape(matrix.shape)
+
+
 def masked_kway_pt(matrix, n, p, K):
     """The same rule vectorised over the full matrix: an N x N Hamming-distance
     table and a bit-p mask choose between rho and its global transpose."""
@@ -157,8 +163,20 @@ def masked_kway_pt(matrix, n, p, K):
     bit = (idx >> (n - p)) & 1
     selected = distance <= 2 if K == 2 else distance == K
     mask = selected & (bit[:, None] != bit[None, :])
-    swapped = np.swapaxes(matrix.reshape((2,) * (2 * n)), p - 1, n + p - 1).reshape(matrix.shape)
-    return np.where(mask, swapped, matrix)
+    return np.where(mask, swapaxes_global_pt(matrix, n, p), matrix)
+
+
+def spread_qubits(n):
+    return sorted({1, (n + 1) // 2, n})
+
+
+class TestGlobalOracle:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_axis_swap(self, n):
+        rho = density(random_state(n, 800 + n))
+        for p in spread_qubits(n):
+            expected = swapaxes_global_pt(rho.matrix, n, p)
+            np.testing.assert_array_equal(global_pt(rho, p).matrix, expected)
 
 
 class TestKWayOracle:
@@ -177,7 +195,7 @@ class TestKWayOracle:
     @pytest.mark.parametrize("n", range(7, 11))
     def test_matches_masked_rule_at_large_n(self, n):
         rho = density(random_state(n, 700 + n))
-        for p in sorted({1, (n + 1) // 2, n}):
+        for p in spread_qubits(n):
             for K in range(2, n + 1) if n < 10 else (2, 3, n):
                 expected = masked_kway_pt(rho.matrix, n, p, K)
                 np.testing.assert_array_equal(kway_pt(rho, p, K).matrix, expected)
@@ -218,6 +236,19 @@ class TestDecomposition:
             rho = density(random_state(n, 1000 * n + seed))
             for p in range(1, n + 1):
                 assert decomposition_residual(rho, p) < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_sum_of_public_transposes(self, n):
+        # the residual formula over validated kway_pt / global_pt results, in
+        # the same arithmetic order, must give the very same float
+        rho = density(random_state(n, 900 + n))
+        for p in range(1, n + 1) if n <= 8 else spread_qubits(n):
+            total = np.zeros_like(rho.matrix)
+            for K in range(2, n + 1):
+                total = total + kway_pt(rho, p, K).matrix
+            total -= (n - 2) * rho.matrix
+            expected = float(np.abs(global_pt(rho, p).matrix - total).max())
+            assert decomposition_residual(rho, p) == expected
 
     def test_single_qubit_rejected(self):
         rho = density(product_state([(1, 0)]))

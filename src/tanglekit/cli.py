@@ -74,11 +74,25 @@ def _parse_qubit(text: str, n: int) -> int:
         raise _fail_usage(str(exc)) from None
 
 
+def _natural(text: str) -> int:
+    """The integer of a string of ASCII digits, read as parse_qubit reads digits.
+
+    int() alone would also read '٣', fullwidth '３', '+3', '-3' and '0_3'.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid non-negative integer: {text!r}")
+    return int(digits)
+
+
 def _parse_complex_pair(re_text: str, im_text: str, what: str) -> complex:
+    # float() alone would also read non-ASCII digits such as '١.٥' and underscores such as '1_0'
     try:
-        return complex(float(re_text), float(im_text))
+        if all(t.isascii() and "_" not in t for t in (re_text, im_text)):
+            return complex(float(re_text), float(im_text))
     except ValueError:
-        raise _fail_usage(f"invalid {what}: expected re,im floats") from None
+        pass
+    raise _fail_usage(f"invalid {what}: expected re,im floats")
 
 
 def _load_state(path: str) -> PureState:
@@ -106,8 +120,6 @@ def _load_state(path: str) -> PureState:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
-    if args.seed < 0:
-        raise _fail_usage("seed must be non-negative")
     if kind == "cluster4":
         if n not in (None, 4):
             raise _fail_usage("cluster4 is a 4-qubit state")
@@ -177,8 +189,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
             raise _fail_usage(f"--kway expects P,K, got {text!r}")
         p = _parse_qubit(parts[0], n)
         try:
-            k = int(parts[1])
-        except ValueError:
+            k = _natural(parts[1])
+        except argparse.ArgumentTypeError:
             raise _fail_usage(f"--kway expects an integer K, got {parts[1]!r}") from None
         if not 2 <= k <= n:
             raise _fail_usage(f"K must be in [2, {n}], got {k}")
@@ -265,11 +277,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise _fail_usage(f"--lu-sweep expects TRIALS,SEED, got {args.lu_sweep!r}")
         try:
-            trials, seed = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise _fail_usage("--lu-sweep expects integer TRIALS,SEED") from None
-        if trials < 0 or seed < 0:
-            raise _fail_usage("TRIALS and SEED must be non-negative")
+            trials, seed = _natural(parts[0]), _natural(parts[1])
+        except argparse.ArgumentTypeError:
+            raise _fail_usage("--lu-sweep expects non-negative integers TRIALS,SEED") from None
         value = lu_invariance_sweep(state, trials, seed)
         report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
         residuals.append(("lu_sweep", value))
@@ -292,8 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a state file")
     gen.add_argument("kind", choices=_GEN_KINDS)
-    gen.add_argument("n", type=int, nargs="?", default=None, help="number of qubits")
-    gen.add_argument("--seed", type=int, default=0, help="seed for random/product kinds")
+    gen.add_argument("n", type=_natural, nargs="?", default=None, help="number of qubits")
+    gen.add_argument("--seed", type=_natural, default=0, help="seed for random/product kinds")
     gen.add_argument("--out", "-o", default=None, help="output path (default: stdout)")
     gen.set_defaults(handler=_cmd_gen)
 

@@ -3,6 +3,10 @@
 For a fixed leading qubit the amplitudes of an n-qubit state form a
 2 x 2**(n-1) matrix, and every font determinant below is a 2x2 minor of it,
 read off the minor matrix that ``spectra.font_minors`` returns for qubit A.
+One reader, ``_fonts``, returns qubit A's fonts of a three- or four-qubit
+state in the order of one pick table per size (``_three_fonts``,
+``_four_fonts``); the records, tangles and checks all read them there, and
+the LU sweep applies the same tables to stacks of minor matrices.
 The three-tangle and four-tangle are polynomial combinations of those minors
 that stay invariant under single-qubit unitaries; ``covariance_check_3`` and
 ``covariance_check_4`` verify numerically how the individual minors
@@ -38,9 +42,10 @@ _SWEEP_BLOCK = 256
 class ThreeQubitFonts:
     """The six font determinants of a three-qubit state, leading qubit A.
 
-    ``three_way[j]`` is the determinant of the 3-way font containing |00j>;
-    ``b_fixed[b]`` / ``c_fixed[c]`` are the 2-way fonts whose labels agree
-    on qubit B (resp. C) with that bit fixed at b (resp. c).
+    Each is a(L) a(L') - a(L' with A flipped) a(L with A flipped) for a label
+    L with A = 0 and its partner L', which flips A and every qubit not held
+    fixed.  ``three_way[j]`` has L = 00j and nothing fixed; ``b_fixed[b]``
+    has L = 0b0 with B fixed; ``c_fixed[c]`` has L = 00c with C fixed.
     """
 
     three_way: tuple[complex, complex]
@@ -52,9 +57,11 @@ class ThreeQubitFonts:
 class FourQubitFonts:
     """Font determinants of a four-qubit state with leading qubits A and B.
 
-    ``four_way[i3][i4]`` is the 4-way font containing |00 i3 i4>;
-    ``three_way_c[i3][i4]`` the 3-way font with qubit C fixed at i3;
-    ``three_way_b[i2][i4]`` the 3-way font with qubit B fixed at i2.
+    Each is a(L) a(L') - a(L' with A flipped) a(L with A flipped) for a label
+    L with A = 0 and its partner L', which flips A and every qubit not held
+    fixed.  ``four_way[i3][i4]`` has L = 00 i3 i4 and nothing fixed;
+    ``three_way_c[i3][i4]`` has L = 00 i3 i4 with qubit C fixed;
+    ``three_way_b[i2][i4]`` has L = 0 i2 0 i4 with qubit B fixed.
     """
 
     four_way: tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -71,21 +78,31 @@ class CovarianceReport:
     prefactor_used: float
 
 
-def _leading_minors(state: PureState, n: int) -> np.ndarray:
-    """font_minors for qubit A of a state that must have n qubits."""
-    if state.n_qubits != n:
-        raise ValueError(f"requires a {n}-qubit state, got n = {state.n_qubits}")
-    return font_minors(state, 1)
-
-
 def _three_fonts(d: np.ndarray) -> tuple[np.ndarray, ...]:
     """(t0, t1, b0, b1, c0, c1): three_way, b_fixed and c_fixed of minor matrices d (..., 4, 4)."""
     # d[u][v] pairs A = 0 with BC bits u and A = 1 with BC bits v
     return d[..., 0, 3], d[..., 1, 2], d[..., 0, 1], d[..., 2, 3], d[..., 0, 2], d[..., 1, 3]
 
 
+def _four_fonts(d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """four_way, three_way_c and three_way_b of minor matrices d (..., 8, 8), row-major each."""
+    # d[u][v] pairs A = 0 with BCD bits u and A = 1 with BCD bits v
+    return (d[..., 0, 7], d[..., 1, 6], d[..., 2, 5], d[..., 3, 4],
+            d[..., 0, 5], d[..., 1, 4], d[..., 2, 7], d[..., 3, 6],
+            d[..., 0, 3], d[..., 1, 2], d[..., 4, 7], d[..., 5, 6])
+
+
+def _fonts(state: PureState, n: int) -> list[complex]:
+    """Qubit A's fonts of a state that must have n = 3 or 4 qubits, in pick-table order."""
+    if state.n_qubits != n:
+        raise ValueError(f"requires a {n}-qubit state, got n = {state.n_qubits}")
+    picks = _three_fonts if n == 3 else _four_fonts
+    # Python complex fonts spare the formulas NumPy's 0-d array overhead
+    return [complex(f) for f in picks(font_minors(state, 1))]
+
+
 def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
-    t0, t1, b0, b1, c0, c1 = (complex(f) for f in _three_fonts(_leading_minors(state, 3)))
+    t0, t1, b0, b1, c0, c1 = _fonts(state, 3)
     return ThreeQubitFonts(three_way=(t0, t1), b_fixed=(b0, b1), c_fixed=(c0, c1))
 
 
@@ -114,16 +131,12 @@ def _three_tangles(*fonts: np.ndarray | complex) -> np.ndarray:
 
 def three_tangle(state: PureState) -> float:
     """4 |(three_way[1] - three_way[0])^2 - 4 b_fixed[1] b_fixed[0]|."""
-    # Python complex fonts spare the stacked formula NumPy's 0-d array overhead
-    return float(_three_tangles(*(complex(f) for f in _three_fonts(_leading_minors(state, 3)))))
+    return float(_three_tangles(*_fonts(state, 3)))
 
 
 def product_identity_residual(state: PureState) -> float:
     """|three_way[1] three_way[0] - (c_fixed[0] c_fixed[1] - b_fixed[1] b_fixed[0])|."""
-    fonts = three_qubit_fonts(state)
-    t0, t1 = fonts.three_way
-    b0, b1 = fonts.b_fixed
-    c0, c1 = fonts.c_fixed
+    t0, t1, b0, b1, c0, c1 = _fonts(state, 3)
     return abs(t1 * t0 - (c0 * c1 - b1 * b0))
 
 
@@ -134,8 +147,6 @@ def monogamy_residual(state: PureState) -> float:
     concurrence equal to the global negativity for pure states and the
     pairwise terms from the Wootters concurrence of the reduced operators.
     """
-    if state.n_qubits != 3:
-        raise ValueError(f"requires a 3-qubit state, got n = {state.n_qubits}")
     tau = three_tangle(state)
     c_block = global_negativity(state, 1)
     c_ab = concurrence_2q(reduced_density(state, (1, 2)))
@@ -150,81 +161,38 @@ def covariance_check_3(state: PureState, x: complex) -> list[CovarianceReport]:
     fixed linear combination of the unrotated ones; on qubits A and C the
     difference of the 3-way fonts and both B-fixed fonts are unchanged.
     """
-    if state.n_qubits != 3:
-        raise ValueError(f"requires a 3-qubit state, got n = {state.n_qubits}")
+    t0, t1, b0, b1, _, _ = _fonts(state, 3)
     x = _rotation_parameter(x)
     xc = x.conjugate()
-    lam = 1.0 / (1.0 + abs(x) ** 2)
+    x2 = abs(x) ** 2
+    lam = 1.0 / (1.0 + x2)
     u = su2_rotation(x)
-
-    base = three_qubit_fonts(state)
-    t0, t1 = base.three_way
-    b0, b1 = base.b_fixed
-
-    on_b = three_qubit_fonts(apply_local_unitary(state, LocalUnitary(2, u)))
-    reports = [
-        CovarianceReport(
-            "b_rotation_three_way_0",
-            abs(on_b.three_way[0] - lam * (t0 + abs(x) ** 2 * t1 - xc * b1 + x * b0)),
-            lam,
-        ),
-        CovarianceReport(
-            "b_rotation_three_way_1",
-            abs(on_b.three_way[1] - lam * (t1 + abs(x) ** 2 * t0 + xc * b1 - x * b0)),
-            lam,
-        ),
-        CovarianceReport(
-            "b_rotation_b_fixed_0",
-            abs(on_b.b_fixed[0] - lam * (b0 + xc**2 * b1 + xc * (t1 - t0))),
-            lam,
-        ),
-        CovarianceReport(
-            "b_rotation_b_fixed_1",
-            abs(on_b.b_fixed[1] - lam * (b1 + x**2 * b0 - x * (t1 - t0))),
-            lam,
-        ),
-    ]
-
-    on_a = three_qubit_fonts(apply_local_unitary(state, LocalUnitary(1, u)))
-    on_c = three_qubit_fonts(apply_local_unitary(state, LocalUnitary(3, u)))
+    # fonts in pick-table order (t0, t1, b0, b1, c0, c1) after the rotation on A, B and C
+    on_a, on_b, on_c = (
+        _fonts(apply_local_unitary(state, LocalUnitary(q, u)), 3) for q in (1, 2, 3)
+    )
     diff = t1 - t0
-    reports += [
-        CovarianceReport(
-            "ac_invariance_three_way_diff",
-            max(
-                abs((on_a.three_way[1] - on_a.three_way[0]) - diff),
-                abs((on_c.three_way[1] - on_c.three_way[0]) - diff),
-            ),
-            1.0,
-        ),
-        CovarianceReport(
-            "ac_invariance_b_fixed_0",
-            max(abs(on_a.b_fixed[0] - b0), abs(on_c.b_fixed[0] - b0)),
-            1.0,
-        ),
-        CovarianceReport(
-            "ac_invariance_b_fixed_1",
-            max(abs(on_a.b_fixed[1] - b1), abs(on_c.b_fixed[1] - b1)),
-            1.0,
-        ),
+
+    # (relation, prefactor, rotated sides, unrotated side), each an exact equality
+    relations = [
+        ("b_rotation_three_way_0", lam, [on_b[0]], lam * (t0 + x2 * t1 - xc * b1 + x * b0)),
+        ("b_rotation_three_way_1", lam, [on_b[1]], lam * (t1 + x2 * t0 + xc * b1 - x * b0)),
+        ("b_rotation_b_fixed_0", lam, [on_b[2]], lam * (b0 + xc**2 * b1 + xc * diff)),
+        ("b_rotation_b_fixed_1", lam, [on_b[3]], lam * (b1 + x**2 * b0 - x * diff)),
+        ("ac_invariance_three_way_diff", 1.0, [g[1] - g[0] for g in (on_a, on_c)], diff),
+        ("ac_invariance_b_fixed_0", 1.0, [g[2] for g in (on_a, on_c)], b0),
+        ("ac_invariance_b_fixed_1", 1.0, [g[3] for g in (on_a, on_c)], b1),
     ]
-    return reports
-
-
-def _four_way(d: np.ndarray) -> tuple[np.ndarray, ...]:
-    """four_way[0][0], [0][1], [1][0] and [1][1] of qubit-A minor matrices d (..., 8, 8)."""
-    # d[u][v] pairs A = 0 with BCD bits u and A = 1 with BCD bits v
-    return d[..., 0, 7], d[..., 1, 6], d[..., 2, 5], d[..., 3, 4]
+    return [CovarianceReport(name, max(abs(lhs - rhs) for lhs in rotated), prefactor)
+            for name, prefactor, rotated, rhs in relations]
 
 
 def four_qubit_fonts(state: PureState) -> FourQubitFonts:
-    d = _leading_minors(state, 4)
-    f00, f01, f10, f11 = (complex(f) for f in _four_way(d))
-    d = d.tolist()
+    f = _fonts(state, 4)
     return FourQubitFonts(
-        four_way=((f00, f01), (f10, f11)),
-        three_way_c=((d[0][5], d[1][4]), (d[2][7], d[3][6])),
-        three_way_b=((d[0][3], d[1][2]), (d[4][7], d[5][6])),
+        four_way=((f[0], f[1]), (f[2], f[3])),
+        three_way_c=((f[4], f[5]), (f[6], f[7])),
+        three_way_b=((f[8], f[9]), (f[10], f[11])),
     )
 
 
@@ -236,7 +204,7 @@ def _four_invariants(*fonts: np.ndarray | complex) -> np.ndarray | complex:
 
 def four_invariant(state: PureState) -> complex:
     """(four_way[0][1] - four_way[0][0]) + (four_way[1][0] - four_way[1][1])."""
-    return _four_invariants(*(complex(f) for f in _four_way(_leading_minors(state, 4))))
+    return _four_invariants(*_fonts(state, 4)[:4])
 
 
 def _four_tangles(invariant: np.ndarray | complex) -> np.ndarray:
@@ -262,18 +230,13 @@ def covariance_check_4(
     determinant, so the minors transform exactly: every relation holds with
     prefactor 1.0, and |four_invariant| must be preserved.
     """
-    if state.n_qubits != 4:
-        raise ValueError(f"requires a 4-qubit state, got n = {state.n_qubits}")
+    f = _fonts(state, 4)[:4]  # four_way 00, 01, 10, 11
     target = parse_qubit(qubit, 4)
-
-    param = complex(param)
-    base = four_qubit_fonts(state)
     rotated = apply_local_unitary(state, LocalUnitary(target, su2_rotation(param)))
-    primed = four_qubit_fonts(rotated)
+    g = _fonts(rotated, 4)[:4]
 
-    f, g = base.four_way, primed.four_way
-    diff = (f[0][1] - f[0][0], f[1][0] - f[1][1])
-    diff_p = (g[0][1] - g[0][0], g[1][0] - g[1][1])
+    diff = (f[1] - f[0], f[2] - f[3])
+    diff_p = (g[1] - g[0], g[2] - g[3])
 
     # (relation, rotated side, unrotated side), each an exact equality
     if target == 4:
@@ -286,20 +249,16 @@ def covariance_check_4(
             ("c_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
         ]
     elif target == 2:
-        sums = (f[0][1] + f[1][0], f[0][0] + f[1][1])
-        sums_p = (g[0][1] + g[1][0], g[0][0] + g[1][1])
+        sums = (f[1] + f[2], f[0] + f[3])
+        sums_p = (g[1] + g[2], g[0] + g[3])
         relations = [
             ("b_rotation_combo_plus", sums_p[0] + sums_p[1], sums[0] + sums[1]),
             ("b_rotation_combo_minus", sums_p[0] - sums_p[1], sums[0] - sums[1]),
         ]
     else:
-        relations = [
-            (f"a_rotation_four_way_{i3}{i4}", g[i3][i4], f[i3][i4])
-            for i3 in (0, 1)
-            for i4 in (0, 1)
-        ]
+        relations = [(f"a_rotation_four_way_{i:02b}", g[i], f[i]) for i in range(4)]
     relations.append(("four_invariant_magnitude",
-                      abs(_four_invariants(*g[0], *g[1])), abs(_four_invariants(*f[0], *f[1]))))
+                      abs(_four_invariants(*g)), abs(_four_invariants(*f))))
     return [CovarianceReport(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
 
 
@@ -320,7 +279,7 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
         reference, tangles = three_tangle(state), lambda d: _three_tangles(*_three_fonts(d))
     elif n == 4:
         reference = four_tangle(state)
-        tangles = lambda d: _four_tangles(_four_invariants(*_four_way(d)))
+        tangles = lambda d: _four_tangles(_four_invariants(*_four_fonts(d)[:4]))
     else:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     if trials < 0:

@@ -376,7 +376,7 @@ def density(state: PureState) -> DensityOperator:
 
 
 def reduced_density(state: PureState, keep: Sequence[int]) -> DensityOperator:
-    """State operator of the kept qubits (1-based, in the given order)."""
+    """Unit-trace state operator of the kept qubits (1-based, in the given order)."""
     n = state.n_qubits
     keep = list(keep)
     if len(set(keep)) != len(keep) or any(not 1 <= q <= n for q in keep):
@@ -384,7 +384,9 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityOperator:
     tensor = state.amplitudes.reshape((2,) * n)
     moved = np.moveaxis(tensor, [q - 1 for q in keep], range(len(keep)))
     mat = moved.reshape(2 ** len(keep), -1)
-    return DensityOperator(len(keep), mat @ mat.conj().T)
+    m = mat @ mat.conj().T
+    m /= np.trace(m).real
+    return DensityOperator(len(keep), m)
 
 
 def state_to_payload(state: PureState) -> dict:

@@ -60,6 +60,7 @@ def test_lu_checks_ops_pass_the_reference(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["measure", "STATE", "--negativity", "2", "--kway", "2,3"],
     ["check", "STATE", "--decomposition"],
+    ["check", "STATE", "--covariance", "C,0.3,-0.7", "--lu-sweep", "50,3"],
 ])
 def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
     # one op through the traced run: every wrapped value must still serve the
@@ -86,3 +87,6 @@ def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
     layers = tracing.layer_metrics(*tracing.load_spans(out_dir / "spans.npz"))
     if argv[0] == "measure":
         assert layers["transpose.kway_pt_calls"] >= 1
+    if "--covariance" in argv:
+        assert layers["invariants.covariance_s"] > 0
+        assert layers["invariants.lu_sweep_s_per_trial"] > 0

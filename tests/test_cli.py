@@ -77,6 +77,18 @@ class TestGen:
         code, _, _ = run_cli(["gen", "random", "3", "--seed", "-5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ghz", "٣"], ["ghz", "３"], ["ghz", "+3"], ["ghz", "0_3"],
+        ["random", "3", "--seed", "٧"], ["random", "3", "--seed", "+7"],
+        ["random", "3", "--seed", "7_0"],
+    ])
+    def test_non_ascii_digit_integer_is_usage_error(self, argv, capsys):
+        # int() would read each of these; argparse reports them with its usage line
+        code, out, err = run_cli(["gen", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage:") and "invalid non-negative integer" in err
+
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, err = run_cli(["gen", "ghz", "3", "--out", "/no/such/dir/x.json"], capsys)
         assert code == 3
@@ -142,6 +154,14 @@ class TestMeasure:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "invalid qubit" in err
+
+    @pytest.mark.parametrize("k", ["٣", "３", "+3", "0_3", "-3"])
+    def test_non_ascii_digit_k_is_usage_error(self, tmp_path, capsys, k):
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        code, out, err = run_cli(["measure", str(path), "--kway", f"1,{k}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"tanglekit: --kway expects an integer K, got {k!r}\n"
 
     def test_all_zero_state_is_bad_state(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
@@ -339,6 +359,23 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("tanglekit: rotation parameter")
+
+    @pytest.mark.parametrize("param", ["١.٥,0", "1_0,0", "0,1_0", "１,0", "0,２"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_non_ascii_covariance_parameter_is_usage_error(self, tmp_path, capsys, n, param):
+        path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
+        code, out, err = run_cli(["check", str(path), "--covariance", f"B,{param}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "tanglekit: invalid --covariance parameter: expected re,im floats\n"
+
+    @pytest.mark.parametrize("spec", ["٥٠,٤٢", "5_0,4_2", "+50,42", "50,３", "50,-3"])
+    def test_non_ascii_digit_lu_sweep_is_usage_error(self, tmp_path, capsys, spec):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        code, out, err = run_cli(["check", str(path), "--lu-sweep", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "tanglekit: --lu-sweep expects non-negative integers TRIALS,SEED\n"
 
     def test_bad_lu_sweep_spec(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)

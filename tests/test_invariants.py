@@ -67,6 +67,56 @@ def with_nan_entry(u):
     return u
 
 
+def font_determinant(state, label, fixed):
+    """Font determinant by the rule of the font records' docstrings, from string lookups.
+
+    The partner L' of label L flips qubit A and every qubit not in ``fixed``;
+    the determinant is a(L) a(L') - a(L' with A flipped) a(L with A flipped).
+    """
+    def flip(bits, qubits):
+        return "".join(str(1 - int(b)) if q in qubits else b for q, b in enumerate(bits, 1))
+
+    partner = flip(label, set(range(1, len(label) + 1)) - set(fixed))
+    a = state.amplitude
+    return a(label) * a(partner) - a(flip(partner, {1})) * a(flip(label, {1}))
+
+
+def covariance_check_3_by_fields(state, x):
+    """(relation, residual, prefactor) of each three-qubit relation, over record fields."""
+    xc = x.conjugate()
+    lam = 1.0 / (1.0 + abs(x) ** 2)
+    u = su2_rotation(x)
+    base = three_qubit_fonts(state)
+    t0, t1 = base.three_way
+    b0, b1 = base.b_fixed
+    on_a, on_b, on_c = (
+        three_qubit_fonts(apply_local_unitary(state, LocalUnitary(q, u))) for q in (1, 2, 3)
+    )
+    diff = t1 - t0
+    return [
+        ("b_rotation_three_way_0",
+         abs(on_b.three_way[0] - lam * (t0 + abs(x) ** 2 * t1 - xc * b1 + x * b0)), lam),
+        ("b_rotation_three_way_1",
+         abs(on_b.three_way[1] - lam * (t1 + abs(x) ** 2 * t0 + xc * b1 - x * b0)), lam),
+        ("b_rotation_b_fixed_0",
+         abs(on_b.b_fixed[0] - lam * (b0 + xc**2 * b1 + xc * (t1 - t0))), lam),
+        ("b_rotation_b_fixed_1",
+         abs(on_b.b_fixed[1] - lam * (b1 + x**2 * b0 - x * (t1 - t0))), lam),
+        ("ac_invariance_three_way_diff",
+         max(abs((on_a.three_way[1] - on_a.three_way[0]) - diff),
+             abs((on_c.three_way[1] - on_c.three_way[0]) - diff)), 1.0),
+        ("ac_invariance_b_fixed_0",
+         max(abs(on_a.b_fixed[0] - b0), abs(on_c.b_fixed[0] - b0)), 1.0),
+        ("ac_invariance_b_fixed_1",
+         max(abs(on_a.b_fixed[1] - b1), abs(on_c.b_fixed[1] - b1)), 1.0),
+    ]
+
+
+def picked_states(n):
+    named = [ghz(n), w_state(n)] + ([cluster4()] if n == 4 else [])
+    return [random_state(n, 700 + seed) for seed in range(60)] + named
+
+
 def random_product_across(n, cut, seed):
     """Random pure state that factorizes across the cut|rest partition."""
     rng = np.random.default_rng(seed)
@@ -100,6 +150,25 @@ class TestThreeQubitFonts:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             three_qubit_fonts(ghz(4))
+
+
+class TestPickTables:
+    def test_three_qubit_fields_are_their_determinants(self):
+        for s in picked_states(3):
+            fonts = three_qubit_fonts(s)
+            for j in (0, 1):
+                assert fonts.three_way[j] == font_determinant(s, f"00{j}", ())
+                assert fonts.b_fixed[j] == font_determinant(s, f"0{j}0", (2,))
+                assert fonts.c_fixed[j] == font_determinant(s, f"00{j}", (3,))
+
+    def test_four_qubit_fields_are_their_determinants(self):
+        for s in picked_states(4):
+            fonts = four_qubit_fonts(s)
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert fonts.four_way[i][j] == font_determinant(s, f"00{i}{j}", ())
+                    assert fonts.three_way_c[i][j] == font_determinant(s, f"00{i}{j}", (3,))
+                    assert fonts.three_way_b[i][j] == font_determinant(s, f"0{i}0{j}", (2,))
 
 
 class TestThreeTangle:
@@ -168,6 +237,10 @@ class TestMonogamyResidual:
         for seed in range(30):
             assert monogamy_residual(random_state(3, seed)) < 1e-8
 
+    def test_state_within_norm_tolerance(self):
+        s = PureState(3, random_state(3, 1).amplitudes * (1 + 4e-11))
+        assert monogamy_residual(s) < 1e-8
+
 
 class TestCovariance3:
     def test_identity_parameter_gives_zero_residuals(self):
@@ -195,6 +268,17 @@ class TestCovariance3:
             "ac_invariance_b_fixed_1",
         ):
             assert reports[name].prefactor_used == 1.0
+
+    def test_equals_relations_written_over_record_fields(self):
+        rng = np.random.default_rng(23)
+        picks = [random_state(3, 1200 + seed) for seed in range(300)]
+        picks += [ghz(3), w_state(3)] + [random_product_state(3, seed) for seed in range(20)]
+        for s in picks:
+            x = complex(10 ** rng.uniform(-2, 1) * np.exp(2j * np.pi * rng.uniform()))
+            reports = covariance_check_3(s, x)
+            assert [(r.relation, r.residual, r.prefactor_used) for r in reports] == (
+                covariance_check_3_by_fields(s, x)
+            )
 
     def test_random_states_and_parameters(self):
         rng = np.random.default_rng(11)

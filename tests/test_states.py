@@ -239,6 +239,14 @@ class TestReducedDensity:
         rho = reduced_density(ghz(3), (1, 2))
         np.testing.assert_allclose(rho.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
 
+    @pytest.mark.parametrize("keep", [(1, 2), (1, 3), (2,), (3, 1, 2)])
+    def test_accepts_state_within_norm_tolerance(self, keep):
+        # the norm check allows 1e-10 and the trace check 1e-12, so the
+        # reduction scales to unit trace as density does
+        s = PureState(3, random_state(3, 1).amplitudes * (1 + 4e-11))
+        rho = reduced_density(s, keep)
+        assert abs(np.trace(rho.matrix) - 1) < 1e-15
+
     def test_invalid_qubits(self):
         with pytest.raises(ValueError):
             reduced_density(ghz(3), (1, 4))

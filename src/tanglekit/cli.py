@@ -29,7 +29,7 @@ from .invariants import (
     product_identity_residual,
     three_tangle,
 )
-from .reporting import render_json
+from .reporting import Rendered, format_float, render_json
 from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .states import (
     PureState,
@@ -118,6 +118,21 @@ def _load_state(path: str) -> PureState:
     return state
 
 
+def _write_report(report: dict, path: str | None = None) -> None:
+    """Write a report as one JSON line to stdout or to path; a failed write is an I/O error."""
+    text = render_json(report) + "\n"
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        where = "stdout" if path is None else path
+        raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from exc
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if kind == "cluster4":
@@ -140,34 +155,23 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _fail_usage(str(exc)) from None
 
-    text = render_json(state_to_payload(state)) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
+    _write_report(state_to_payload(state), args.out)
     return EXIT_OK
 
 
-def _font_records(fonts: Fonts, n: int) -> list[dict]:
-    label = f"0{n}b"
-    columns = (fonts.i, fonts.j, fonts.k, fonts.det, fonts.lambda_minus, fonts.negligible)
-    return [
-        {
-            "i": format(i, label),
-            "j": format(j, label),
-            "p": fonts.p,
-            "k": k,
-            "det_re": det.real,
-            "det_im": det.imag,
-            "lambda_minus": lambda_minus,
-            "negligible": negligible,
-        }
-        for i, j, k, det, lambda_minus, negligible in zip(*(c.tolist() for c in columns))
-    ]
+def _fonts_json(fonts: Fonts, n: int) -> Rendered:
+    """The fonts as a JSON list of objects, one row of the Fonts columns each."""
+    det, label = fonts.det, f"0{n}b"
+    rows = zip(
+        (format(i, label) for i in fonts.i.tolist()),
+        (format(j, label) for j in fonts.j.tolist()),
+        fonts.k.tolist(),
+        *(map(format_float, c.tolist()) for c in (det.real, det.imag, fonts.lambda_minus)),
+        ("true" if negligible else "false" for negligible in fonts.negligible.tolist()),
+    )
+    row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %s, '
+           '"det_im": %s, "lambda_minus": %s, "negligible": %s}')
+    return Rendered("[" + ", ".join(row % values for values in rows) + "]")
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -216,9 +220,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     for p, k in sorted(kway_pairs):
         report[f"kway_q{p}_k{k}"] = kway_negativity(rho, p, k)
     for p in font_qubits:
-        report[f"fonts_q{p}"] = _font_records(enumerate_fonts(state, p), n)
+        report[f"fonts_q{p}"] = _fonts_json(enumerate_fonts(state, p), n)
 
-    sys.stdout.write(render_json(report) + "\n")
+    _write_report(report)
     return EXIT_OK
 
 
@@ -284,7 +288,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
         residuals.append(("lu_sweep", value))
 
-    sys.stdout.write(render_json(report) + "\n")
+    _write_report(report)
     failed = [(name, value) for name, value in residuals if not value < CHECK_TOL]
     for name, value in failed:
         print(f"tanglekit: check failed: {name} = {value!r} (tolerance {CHECK_TOL!r})",

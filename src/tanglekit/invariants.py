@@ -4,8 +4,8 @@ For a fixed leading qubit the amplitudes of an n-qubit state form a
 2 x 2**(n-1) matrix, and every font determinant below is a 2x2 minor of it,
 read off the minor matrix that ``spectra.font_minors`` returns for qubit A.
 One reader, ``_fonts``, returns qubit A's fonts of a three- or four-qubit
-state in the order of one pick table per size (``_three_fonts``,
-``_four_fonts``); the records, tangles and checks all read them there, and
+state in the order of one (u, v) pick table per size (``_THREE_PICKS``,
+``_FOUR_PICKS``); the records, tangles and checks all read them there, and
 the LU sweep applies the same tables to stacks of minor matrices.
 The three-tangle and four-tangle are polynomial combinations of those minors
 that stay invariant under single-qubit unitaries; ``covariance_check_3`` and
@@ -78,27 +78,20 @@ class CovarianceReport:
     prefactor_used: float
 
 
-def _three_fonts(d: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(t0, t1, b0, b1, c0, c1): three_way, b_fixed and c_fixed of minor matrices d (..., 4, 4)."""
-    # d[u][v] pairs A = 0 with BC bits u and A = 1 with BC bits v
-    return d[..., 0, 3], d[..., 1, 2], d[..., 0, 1], d[..., 2, 3], d[..., 0, 2], d[..., 1, 3]
-
-
-def _four_fonts(d: np.ndarray) -> tuple[np.ndarray, ...]:
-    """four_way, three_way_c and three_way_b of minor matrices d (..., 8, 8), row-major each."""
-    # d[u][v] pairs A = 0 with BCD bits u and A = 1 with BCD bits v
-    return (d[..., 0, 7], d[..., 1, 6], d[..., 2, 5], d[..., 3, 4],
-            d[..., 0, 5], d[..., 1, 4], d[..., 2, 7], d[..., 3, 6],
-            d[..., 0, 3], d[..., 1, 2], d[..., 4, 7], d[..., 5, 6])
+# (u, v) of each font in qubit A's minor matrix d[u, v] (A = 0 with other bits u, A = 1 with v):
+# three_way, b_fixed, c_fixed of 3 qubits; four_way, three_way_c, three_way_b (row-major) of 4
+_THREE_PICKS = np.array([(0, 3), (1, 2), (0, 1), (2, 3), (0, 2), (1, 3)]).T
+_FOUR_PICKS = np.array([(0, 7), (1, 6), (2, 5), (3, 4), (0, 5), (1, 4), (2, 7), (3, 6),
+                        (0, 3), (1, 2), (4, 7), (5, 6)]).T
 
 
 def _fonts(state: PureState, n: int) -> list[complex]:
     """Qubit A's fonts of a state that must have n = 3 or 4 qubits, in pick-table order."""
     if state.n_qubits != n:
         raise ValueError(f"requires a {n}-qubit state, got n = {state.n_qubits}")
-    picks = _three_fonts if n == 3 else _four_fonts
+    u, v = _THREE_PICKS if n == 3 else _FOUR_PICKS
     # Python complex fonts spare the formulas NumPy's 0-d array overhead
-    return [complex(f) for f in picks(font_minors(state, 1))]
+    return font_minors(state, 1)[u, v].tolist()
 
 
 def three_qubit_fonts(state: PureState) -> ThreeQubitFonts:
@@ -276,10 +269,10 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     """
     n = state.n_qubits
     if n == 3:
-        reference, tangles = three_tangle(state), lambda d: _three_tangles(*_three_fonts(d))
+        (u, v), reference, tangles = _THREE_PICKS, three_tangle(state), _three_tangles
     elif n == 4:
-        reference = four_tangle(state)
-        tangles = lambda d: _four_tangles(_four_invariants(*_four_fonts(d)[:4]))
+        (u, v), reference = _FOUR_PICKS[:, :4], four_tangle(state)
+        tangles = lambda *fonts: _four_tangles(_four_invariants(*fonts))
     else:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     if trials < 0:
@@ -287,6 +280,6 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     worst = 0.0
     for start in range(0, trials, _SWEEP_BLOCK):
         amps = _haar_rotated(state, seed, range(start, min(start + _SWEEP_BLOCK, trials)))
-        deviation = np.abs(tangles(_minor_matrix(amps, n, 1)) - reference)
+        deviation = np.abs(tangles(*_minor_matrix(amps, n, 1)[:, u, v].T) - reference)
         worst = max(worst, float(deviation.max()))
     return worst

@@ -23,8 +23,12 @@ def format_float(value: float) -> str:
     return text
 
 
+class Rendered(str):
+    """JSON text that :func:`render_json` embeds unchanged."""
+
+
 def render_json(value) -> str:
-    """Serialize nested dicts/lists/scalars; floats via :func:`format_float`."""
+    """Serialize nested dicts/lists/scalars; floats via :func:`format_float`, Rendered as is."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -32,14 +36,12 @@ def render_json(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
+        return value if isinstance(value, Rendered) else encode_basestring_ascii(value)
     if isinstance(value, dict):
         items = ", ".join(
             f"{encode_basestring_ascii(str(k))}: {render_json(v)}" for k, v in value.items()
         )
         return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(render_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -61,6 +61,7 @@ def test_lu_checks_ops_pass_the_reference(tmp_path, monkeypatch):
     ["measure", "STATE", "--negativity", "2", "--kway", "2,3"],
     ["check", "STATE", "--decomposition"],
     ["check", "STATE", "--covariance", "C,0.3,-0.7", "--lu-sweep", "50,3"],
+    ["measure", "STATE", "--fonts", "2"],
 ])
 def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
     # one op through the traced run: every wrapped value must still serve the
@@ -77,7 +78,8 @@ def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    records = json.loads(proc.stdout)["records"]
+    result = json.loads(proc.stdout)
+    records = result["records"]
     assert records
     for record in records:
         assert record["code"] == record["untraced_code"] == 0, proc.stderr
@@ -85,8 +87,12 @@ def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     layers = tracing.layer_metrics(*tracing.load_spans(out_dir / "spans.npz"))
-    if argv[0] == "measure":
+    if "--kway" in argv:
         assert layers["transpose.kway_pt_calls"] >= 1
+    if "--fonts" in argv:
+        assert layers["spectra.fonts_emitted"] > 0
+        # one render_json per report: it writes all of stdout but each report's newline
+        assert layers["reporting.render_json_bytes"] == result["stdout_bytes"] - len(records)
     if "--covariance" in argv:
         assert layers["invariants.covariance_s"] > 0
         assert layers["invariants.lu_sweep_s_per_trial"] > 0

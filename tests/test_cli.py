@@ -1,11 +1,14 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tanglekit import DensityOperator
+from tanglekit import DensityOperator, enumerate_fonts, global_negativity, state_from_payload
 from tanglekit.cli import main
 from tanglekit.reporting import format_float, render_json
 
@@ -404,6 +407,91 @@ class TestCheck:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+def font_records(fonts, n):
+    """The fonts report as one dict per font, the form render_json once wrote it from."""
+    label = f"0{n}b"
+    columns = (fonts.i, fonts.j, fonts.k, fonts.det, fonts.lambda_minus, fonts.negligible)
+    return [
+        {
+            "i": format(i, label),
+            "j": format(j, label),
+            "p": fonts.p,
+            "k": k,
+            "det_re": det.real,
+            "det_im": det.imag,
+            "lambda_minus": lambda_minus,
+            "negligible": negligible,
+        }
+        for i, j, k, det, lambda_minus, negligible in zip(*(c.tolist() for c in columns))
+    ]
+
+
+# every qubit up to n = 7, the first, a middle and the last at n = 9; ghz and w need n >= 2
+FONT_CASES = [(kind, n, range(1, n + 1)) for n in range(1, 8)
+              for kind in ("random", "product", "ghz", "w")[: 2 if n == 1 else 4]]
+FONT_CASES += [(kind, 9, (1, 5, 9)) for kind in ("random", "product", "ghz", "w")]
+
+
+class TestFontsReport:
+    """The fonts writer against render_json of one dict per font, byte for byte."""
+
+    @pytest.mark.parametrize("kind, n, qubits", FONT_CASES,
+                             ids=[f"{kind}{n}" for kind, n, _ in FONT_CASES])
+    def test_matches_rendered_records(self, kind, n, qubits, tmp_path, capsys):
+        path = write_state(tmp_path, "s.json", kind, str(n), capsys=capsys)
+        state = state_from_payload(json.loads(path.read_text()))
+        for p in qubits:
+            code, out, err = run_cli(["measure", str(path), "--fonts", str(p)], capsys)
+            assert (code, err) == (0, "")
+            records = font_records(enumerate_fonts(state, p), n)
+            assert out == render_json({f"fonts_q{p}": records}) + "\n", p
+
+    @pytest.mark.parametrize("kind", ["random", "product"])
+    def test_embedded_between_other_measures(self, kind, tmp_path, capsys):
+        path = write_state(tmp_path, "s.json", kind, "4", capsys=capsys)
+        state = state_from_payload(json.loads(path.read_text()))
+        argv = ["measure", str(path), "--negativity", "1", "--fonts", "1", "--fonts", "2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = {"negativity_q1": global_negativity(state, 1)}
+        report.update((f"fonts_q{p}", font_records(enumerate_fonts(state, p), 4)) for p in (1, 2))
+        assert out == render_json(report) + "\n"
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStdoutWriteFailure:
+    MESSAGE = (f"tanglekit: cannot write stdout: [Errno {errno.ENOSPC}] "
+               f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "ghz", "3"],
+        ["measure", "STATE", "--tangle3"],
+        ["check", "STATE", "--decomposition"],
+    ], ids=["gen", "measure", "check"])
+    def test_failed_write_is_io_error(self, argv, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code, _, err = run_cli([str(path) if a == "STATE" else a for a in argv], capsys)
+        assert code == 3
+        assert err == self.MESSAGE
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_exits_three(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tanglekit", "gen", "ghz", "3"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert proc.returncode == 3
+        assert proc.stderr == self.MESSAGE
 
 
 class TestInternalError:

@@ -202,7 +202,8 @@ class TestThreeTangle:
         picks = [random_state(3, 900 + seed) for seed in range(200)]
         picks += [ghz(3), w_state(3)] + [random_product_state(3, seed) for seed in range(20)]
         d = _minor_matrix(np.stack([s.amplitudes for s in picks]), 3, 1)
-        stacked = invariants._three_tangles(*invariants._three_fonts(d))
+        u, v = invariants._THREE_PICKS
+        stacked = invariants._three_tangles(*d[:, u, v].T)
         assert [three_tangle(s) for s in picks] == stacked.tolist()
 
     def test_bounded_on_random_states(self):
@@ -349,6 +350,15 @@ class TestFourInvariantAndTangle:
         inv = (d[:, 1, 6] - d[:, 0, 7]) + (d[:, 2, 5] - d[:, 3, 4])
         stacked = 4.0 * np.hypot(inv.real, inv.imag) ** 2
         assert [four_tangle(s) for s in states] == stacked.tolist()
+
+    def test_one_formula_for_one_state_and_for_stacks(self):
+        # four_tangle and the sweep apply the pick table and formula to one state and to stacks
+        picks = [random_state(4, 900 + seed) for seed in range(200)]
+        picks += [ghz(4), w_state(4), cluster4()] + [random_product_state(4, s) for s in range(20)]
+        d = _minor_matrix(np.stack([s.amplitudes for s in picks]), 4, 1)
+        u, v = invariants._FOUR_PICKS[:, :4]
+        stacked = invariants._four_tangles(invariants._four_invariants(*d[:, u, v].T))
+        assert [four_tangle(s) for s in picks] == stacked.tolist()
 
 
 class TestCovariance4:

@@ -15,7 +15,9 @@ the tolerance.  ``gen product`` draws ``states.random_product_state``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import warnings
 
@@ -130,6 +132,9 @@ def _write_report(report: dict, path: str | None = None) -> None:
                 handle.write(text)
     except OSError as exc:
         where = "stdout" if path is None else path
+        if path is None:  # stdout may keep the bytes, and its flush at exit would fail again
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())  # raises for a stream with no fd
         raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from exc
 
 
@@ -247,8 +252,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.product_identity:
         if n != 3:
             raise _fail_usage(f"--product-identity requires a 3-qubit state, got n = {n}")
-        value = product_identity_residual(state)
-        report["product_identity"] = value
+        report["product_identity"] = value = product_identity_residual(state)
         residuals.append(("product_identity", value))
 
     if args.covariance:

@@ -18,9 +18,7 @@ def format_float(value: float) -> str:
     if value == 0.0:
         return "0.0"
     text = f"{value:.17g}"
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+    return text if any(c in text for c in ".eE") else text + ".0"
 
 
 class Rendered(str):
@@ -38,10 +36,8 @@ def render_json(value) -> str:
     if isinstance(value, str):
         return value if isinstance(value, Rendered) else encode_basestring_ascii(value)
     if isinstance(value, dict):
-        items = ", ".join(
-            f"{encode_basestring_ascii(str(k))}: {render_json(v)}" for k, v in value.items()
-        )
-        return "{" + items + "}"
+        items = (f"{encode_basestring_ascii(str(k))}: {render_json(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
     if isinstance(value, list):
         return "[" + ", ".join(render_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -493,6 +493,31 @@ class TestStdoutWriteFailure:
         assert proc.returncode == 3
         assert proc.stderr == self.MESSAGE
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_kept_bytes_are_not_flushed_again_at_exit(self):
+        # _pyio's stdout keeps the bytes it failed to write; flushing them again at
+        # interpreter exit would print a second error and turn exit 3 into 120
+        script = ("import _pyio, sys; sys.stdout = _pyio.open(1, 'w', closefd=False); "
+                  "from tanglekit.cli import main; sys.exit(main(['gen', 'ghz', '3']))")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", script], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == self.MESSAGE
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a pipe with its read end closed")
+    def test_closed_pipe_exits_three(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "tanglekit", "gen", "ghz", "3"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"tanglekit: cannot write stdout: [Errno {errno.EPIPE}] "
+                               f"{os.strerror(errno.EPIPE)}\n")
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_five_with_one_line(self, tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -97,6 +98,13 @@ def _parse_complex_pair(re_text: str, im_text: str, what: str) -> complex:
     raise _fail_usage(f"invalid {what}: expected re,im floats")
 
 
+def _diagnose(line: str) -> None:
+    """Write one line to stderr; a stderr that cannot take it leaves the exit code alone."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        with contextlib.suppress(OSError, ValueError):
+            print(line, file=sys.stderr)
+
+
 def _load_state(path: str) -> PureState:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -107,7 +115,7 @@ def _load_state(path: str) -> PureState:
         raise CliError(EXIT_BAD_STATE, f"{path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or over-deep nesting
         raise CliError(EXIT_BAD_STATE, f"{path} is not valid JSON: {exc}") from exc
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -116,7 +124,7 @@ def _load_state(path: str) -> PureState:
     except ValueError as exc:
         raise CliError(EXIT_BAD_STATE, f"{path}: {exc}") from exc
     for warning in caught:  # one stderr line each, without Python's source-line format
-        print(f"tanglekit: warning: {warning.message}", file=sys.stderr)
+        _diagnose(f"tanglekit: warning: {warning.message}")
     return state
 
 
@@ -125,6 +133,8 @@ def _write_report(report: dict, path: str | None = None) -> None:
     text = render_json(report) + "\n"
     try:
         if path is None:
+            if sys.stdout is None:  # what Python makes of an fd 1 closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
@@ -132,7 +142,8 @@ def _write_report(report: dict, path: str | None = None) -> None:
                 handle.write(text)
     except OSError as exc:
         where = "stdout" if path is None else path
-        if path is None:  # stdout may keep the bytes, and its flush at exit would fail again
+        # stdout may keep the bytes, and its flush at exit would fail again
+        if path is None and sys.stdout is not None:
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())  # raises for a stream with no fd
         raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from exc
@@ -295,8 +306,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _write_report(report)
     failed = [(name, value) for name, value in residuals if not value < CHECK_TOL]
     for name, value in failed:
-        print(f"tanglekit: check failed: {name} = {value!r} (tolerance {CHECK_TOL!r})",
-              file=sys.stderr)
+        _diagnose(f"tanglekit: check failed: {name} = {value!r} (tolerance {CHECK_TOL!r})")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -341,11 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except CliError as exc:
-        print(f"tanglekit: {exc}", file=sys.stderr)
+        _diagnose(f"tanglekit: {exc}")
         return exc.code
     except Exception as exc:  # a defect, not bad input: one line instead of a traceback
         message = " ".join(str(exc).split())
-        print(f"tanglekit: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _diagnose(f"tanglekit: internal error: {type(exc).__name__}: {message}")
         return EXIT_INTERNAL
 
 

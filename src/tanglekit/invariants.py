@@ -212,6 +212,19 @@ def four_tangle(state: PureState) -> float:
     return float(_four_tangles(four_invariant(state)))
 
 
+# relations of covariance_check_4 by rotated qubit: (name, the combination of the
+# 4-way fonts (w00, w01, w10, w11) that the rotation keeps), each with prefactor 1.0
+_COVARIANT_4 = {
+    4: [("d_rotation_combo_plus", _four_invariants),
+        ("d_rotation_combo_minus", lambda w00, w01, w10, w11: (w01 - w00) - (w10 - w11))],
+    3: [("c_rotation_combo_plus", _four_invariants)],
+    2: [("b_rotation_combo_plus", lambda w00, w01, w10, w11: (w01 + w10) + (w00 + w11)),
+        ("b_rotation_combo_minus", lambda w00, w01, w10, w11: (w01 + w10) - (w00 + w11))],
+    1: [(f"a_rotation_four_way_{i:02b}", lambda *w, i=i: w[i]) for i in range(4)],
+}
+_MAGNITUDE_4 = ("four_invariant_magnitude", lambda *w: abs(_four_invariants(*w)))
+
+
 def covariance_check_4(
     state: PureState, qubit: str | int, param: complex
 ) -> list[CovarianceReport]:
@@ -227,32 +240,8 @@ def covariance_check_4(
     target = parse_qubit(qubit, 4)
     rotated = apply_local_unitary(state, LocalUnitary(target, su2_rotation(param)))
     g = _fonts(rotated, 4)[:4]
-
-    diff = (f[1] - f[0], f[2] - f[3])
-    diff_p = (g[1] - g[0], g[2] - g[3])
-
-    # (relation, rotated side, unrotated side), each an exact equality
-    if target == 4:
-        relations = [
-            ("d_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
-            ("d_rotation_combo_minus", diff_p[0] - diff_p[1], diff[0] - diff[1]),
-        ]
-    elif target == 3:
-        relations = [
-            ("c_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
-        ]
-    elif target == 2:
-        sums = (f[1] + f[2], f[0] + f[3])
-        sums_p = (g[1] + g[2], g[0] + g[3])
-        relations = [
-            ("b_rotation_combo_plus", sums_p[0] + sums_p[1], sums[0] + sums[1]),
-            ("b_rotation_combo_minus", sums_p[0] - sums_p[1], sums[0] - sums[1]),
-        ]
-    else:
-        relations = [(f"a_rotation_four_way_{i:02b}", g[i], f[i]) for i in range(4)]
-    relations.append(("four_invariant_magnitude",
-                      abs(_four_invariants(*g)), abs(_four_invariants(*f))))
-    return [CovarianceReport(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
+    return [CovarianceReport(name, abs(form(*g) - form(*f)), 1.0)
+            for name, form in _COVARIANT_4[target] + [_MAGNITUDE_4]]
 
 
 def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, PureState
+from .states import DensityOperator, PureState, _check_qubit
 from .transpose import _rest_distance, kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
@@ -83,10 +83,8 @@ def font_minors(state: PureState, p: int) -> np.ndarray:
     its entry with u < v is the determinant of the font spanned by the labels
     (p-bit 0, rest u) and (p-bit 1, rest v).
     """
-    n = state.n_qubits
-    if not 1 <= p <= n:
-        raise ValueError(f"qubit {p} out of range for {n} qubits")
-    return _minor_matrix(state.amplitudes, n, p)
+    _check_qubit(p, state.n_qubits)
+    return _minor_matrix(state.amplitudes, state.n_qubits, p)
 
 
 def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -66,6 +66,18 @@ def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray
     return arr
 
 
+def _check_count(n: int, least: int = 1) -> None:
+    """Raise unless least <= n <= MAX_QUBITS: the qubit counts the package supports."""
+    if not least <= n <= MAX_QUBITS:
+        raise ValueError(f"requires {least} <= n <= {MAX_QUBITS} qubits, got {n}")
+
+
+def _check_qubit(q: int, n: int) -> None:
+    """Raise unless q is a qubit (1-based) of an n-qubit system."""
+    if not 1 <= q <= n:
+        raise ValueError(f"qubit {q} out of range for {n} qubits")
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
@@ -131,8 +143,7 @@ class PureState:
     norm_shift: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        _check_count(self.n_qubits)
         _check_norm(_frozen_copy(self, "amplitudes", (2**self.n_qubits,)))
 
     @property
@@ -193,8 +204,7 @@ class DensityOperator:
 
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
-    if not np.isfinite(raw).all():
-        raise ValueError("amplitudes must be finite")
+    _check_finite(raw, "amplitudes")
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ValueError("all-zero amplitude list cannot be normalized")
@@ -207,8 +217,7 @@ def make_state(n: int, entries: Iterable[tuple[str, complex]]) -> PureState:
     Unspecified indices are zero.  The state is always divided by its norm;
     the resulting ``norm_shift`` records how large that correction was.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    _check_count(n)
     raw = np.zeros(2**n, dtype=np.complex128)
     seen: set[int] = set()
     for bits, value in entries:
@@ -225,8 +234,7 @@ def make_state(n: int, entries: Iterable[tuple[str, complex]]) -> PureState:
 
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"ghz requires 2 <= n <= {MAX_QUBITS}, got {n}")
+    _check_count(n, least=2)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / np.sqrt(2)
     return PureState(n, amps)
@@ -234,8 +242,7 @@ def ghz(n: int) -> PureState:
 
 def w_state(n: int) -> PureState:
     """Equal superposition of the n weight-1 basis strings."""
-    if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"w_state requires 2 <= n <= {MAX_QUBITS}, got {n}")
+    _check_count(n, least=2)
     amps = np.zeros(2**n, dtype=np.complex128)
     for k in range(n):
         amps[1 << k] = 1 / np.sqrt(n)
@@ -253,8 +260,7 @@ def cluster4() -> PureState:
 def product_state(factors: Sequence[tuple[complex, complex]]) -> PureState:
     """Tensor product of single-qubit amplitude pairs, normalized."""
     n = len(factors)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"need between 1 and {MAX_QUBITS} factors, got {n}")
+    _check_count(n)
     amps = np.array([1.0], dtype=np.complex128)
     for a0, a1 in factors:
         amps = np.kron(amps, np.array([a0, a1], dtype=np.complex128))
@@ -306,8 +312,7 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
 
 def random_state(n: int, seed: int) -> PureState:
     """Haar-uniform state: 2**n complex Gaussian draws, normalized; deterministic per seed."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    _check_count(n)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     amps, _ = _normalized(raw)
@@ -316,8 +321,7 @@ def random_state(n: int, seed: int) -> PureState:
 
 def random_product_state(n: int, seed: int) -> PureState:
     """Product of n single-qubit factors, each two complex Gaussian draws; deterministic per seed."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    _check_count(n)
     rng = np.random.default_rng(seed)
     factors = []
     for _ in range(n):
@@ -341,8 +345,7 @@ def apply_local_unitary(state: PureState, *lus: LocalUnitary) -> PureState:
     """Transform each target qubit's index by its 2x2 matrix, in order, into one new state."""
     n, amps = state.n_qubits, state.amplitudes
     for lu in lus:
-        if lu.target > n:
-            raise ValueError(f"target qubit {lu.target} out of range for {n} qubits")
+        _check_qubit(lu.target, n)
         amps = _apply_on_qubit(amps, lu.matrix, lu.target, n)
     return PureState(n, amps)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityOperator
+from .states import DensityOperator, _check_qubit
 
 
 @lru_cache(maxsize=None)
@@ -31,11 +31,6 @@ def _rest_distance(m: int) -> np.ndarray:
         table += bit[:, None] ^ bit[None, :]
     table.setflags(write=False)
     return table
-
-
-def _require_qubit(rho: DensityOperator, p: int) -> None:
-    if not 1 <= p <= rho.n_qubits:
-        raise ValueError(f"qubit {p} out of range for {rho.n_qubits} qubits")
 
 
 def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarray:
@@ -57,7 +52,7 @@ def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarra
 
 def global_pt(rho: DensityOperator, p: int) -> DensityOperator:
     """Partial transpose of qubit p: <i|out|j> = <j_p i_rest|rho|i_p j_rest>."""
-    _require_qubit(rho, p)
+    _check_qubit(p, rho.n_qubits)
     return DensityOperator(rho.n_qubits, _transposed(rho, p))
 
 
@@ -68,8 +63,8 @@ def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
     at Hamming distance K - 1 (at most 1 when K = 2), takes its globally
     transposed value; every other element is copied unchanged.
     """
-    _require_qubit(rho, p)
     n = rho.n_qubits
+    _check_qubit(p, n)
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
     return DensityOperator(n, _transposed(rho, p, K))
@@ -77,8 +72,8 @@ def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:
     """Max elementwise gap between the global transpose and its K-way resolution."""
-    _require_qubit(rho, p)
     n = rho.n_qubits
+    _check_qubit(p, n)
     if n < 2:
         raise ValueError("decomposition requires at least 2 qubits")
     total = np.zeros_like(rho.matrix)

@@ -58,6 +58,15 @@ class TestGen:
         assert out == ""
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind,n,least", [("ghz", 11, 2), ("w", 1, 2), ("random", 0, 1),
+                                              ("random", 11, 1), ("product", 0, 1),
+                                              ("product", 11, 1)])
+    def test_qubit_count_errors_share_one_message(self, kind, n, least, capsys):
+        code, out, err = run_cli(["gen", kind, str(n)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"tanglekit: requires {least} <= n <= 10 qubits, got {n}\n"
+
     def test_cluster4_needs_no_n(self, tmp_path, capsys):
         path = write_state(tmp_path, "c4.json", "cluster4", capsys=capsys)
         payload = json.loads(path.read_text())
@@ -139,6 +148,14 @@ class TestMeasure:
         path.write_text("{not json")
         code, _, _ = run_cli(["measure", str(path), "--tangle3"], capsys)
         assert code == 4
+
+    def test_over_deep_json_is_bad_state(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(["measure", str(path), "--all"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and "not valid JSON" in err
 
     def test_non_utf8_file_is_bad_state(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -517,6 +534,79 @@ class TestStdoutWriteFailure:
         assert proc.returncode == 3
         assert proc.stderr == (f"tanglekit: cannot write stdout: [Errno {errno.EPIPE}] "
                                f"{os.strerror(errno.EPIPE)}\n")
+
+
+class TestClosedStdout:
+    MESSAGE = (f"tanglekit: cannot write stdout: [Errno {errno.EBADF}] "
+               f"{os.strerror(errno.EBADF)}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "ghz", "3"],
+        ["measure", "STATE", "--tangle3"],
+        ["check", "STATE", "--decomposition"],
+    ], ids=["gen", "measure", "check"])
+    def test_missing_stdout_is_io_error(self, argv, tmp_path, capsys, monkeypatch):
+        # Python sets sys.stdout to None when fd 1 is closed at start-up
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run_cli([str(path) if a == "STATE" else a for a in argv], capsys)
+        assert code == 3
+        assert err == self.MESSAGE
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 with a POSIX shell")
+    def test_closed_fd_exits_three(self):
+        proc = subprocess.run(["sh", "-c", '"$0" -m tanglekit gen ghz 3 >&-', sys.executable],
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == self.MESSAGE
+
+
+class ClosedStderr(io.TextIOBase):
+    """A stderr on a closed descriptor: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+class TestStderrWriteFailure:
+    """A diagnostic that cannot be written leaves the exit code and stdout as they were."""
+
+    def run_without_stderr(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", ClosedStderr())
+        return run_cli(argv, capsys)
+
+    def test_missing_file_is_io_error(self, capsys, monkeypatch):
+        code, out, _ = self.run_without_stderr(
+            ["measure", "/no/such/state.json", "--tangle3"], capsys, monkeypatch)
+        assert (code, out) == (3, "")
+
+    def test_usage_error(self, capsys, monkeypatch):
+        code, out, _ = self.run_without_stderr(["gen", "w", "1"], capsys, monkeypatch)
+        assert (code, out) == (2, "")
+
+    def test_failed_check(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        monkeypatch.setattr("tanglekit.cli.lu_invariance_sweep", lambda s, t, sd: 0.5)
+        argv = ["check", str(path), "--lu-sweep", "5,1"]
+        expected = run_cli(argv, capsys)[1]
+        code, out, _ = self.run_without_stderr(argv, capsys, monkeypatch)
+        assert (code, out) == (1, expected)
+
+    def test_success_with_warning(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "unnormalized.json"
+        path.write_text(
+            json.dumps({"n_qubits": 2, "amplitudes": [{"index": "00", "re": 2.0, "im": 0.0}]})
+        )
+        code, out, _ = self.run_without_stderr(
+            ["measure", str(path), "--negativity", "1"], capsys, monkeypatch)
+        assert (code, out) == (0, '{"negativity_q1": 0.0}\n')
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 2 with a POSIX shell")
+    def test_closed_fd_keeps_exit_code(self):
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m tanglekit measure /no/such/state.json --tangle3 2>&-',
+             sys.executable], stdout=subprocess.PIPE, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
 
 
 class TestInternalError:

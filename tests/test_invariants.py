@@ -29,6 +29,7 @@ from tanglekit import (
     w_state,
 )
 from tanglekit.spectra import _minor_matrix
+from tanglekit.states import parse_qubit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 BLOCK = invariants._SWEEP_BLOCK
@@ -110,6 +111,35 @@ def covariance_check_3_by_fields(state, x):
         ("ac_invariance_b_fixed_1",
          max(abs(on_a.b_fixed[1] - b1), abs(on_c.b_fixed[1] - b1)), 1.0),
     ]
+
+
+def covariance_check_4_by_branches(state, qubit, param):
+    """(relation, residual, prefactor) of each four-qubit relation, one branch per rotated qubit."""
+    f = [v for row in four_qubit_fonts(state).four_way for v in row]
+    target = parse_qubit(qubit, 4)
+    rotated = apply_local_unitary(state, LocalUnitary(target, su2_rotation(param)))
+    g = [v for row in four_qubit_fonts(rotated).four_way for v in row]
+    diff = (f[1] - f[0], f[2] - f[3])
+    diff_p = (g[1] - g[0], g[2] - g[3])
+    if target == 4:
+        relations = [
+            ("d_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1]),
+            ("d_rotation_combo_minus", diff_p[0] - diff_p[1], diff[0] - diff[1]),
+        ]
+    elif target == 3:
+        relations = [("c_rotation_combo_plus", diff_p[0] + diff_p[1], diff[0] + diff[1])]
+    elif target == 2:
+        sums = (f[1] + f[2], f[0] + f[3])
+        sums_p = (g[1] + g[2], g[0] + g[3])
+        relations = [
+            ("b_rotation_combo_plus", sums_p[0] + sums_p[1], sums[0] + sums[1]),
+            ("b_rotation_combo_minus", sums_p[0] - sums_p[1], sums[0] - sums[1]),
+        ]
+    else:
+        relations = [(f"a_rotation_four_way_{i:02b}", g[i], f[i]) for i in range(4)]
+    relations.append(("four_invariant_magnitude",
+                      abs((g[1] - g[0]) + (g[2] - g[3])), abs((f[1] - f[0]) + (f[2] - f[3]))))
+    return [(name, abs(lhs - rhs), 1.0) for name, lhs, rhs in relations]
 
 
 def picked_states(n):
@@ -381,6 +411,17 @@ class TestCovariance4:
             for report in covariance_check_4(s, qubit, param):
                 assert report.residual < 1e-9
                 assert report.prefactor_used == 1.0
+
+    def test_equals_relations_written_branch_by_branch(self):
+        picks = [random_state(4, 1500 + seed) for seed in range(200)]
+        picks += [ghz(4), w_state(4), cluster4()] + [random_product_state(4, s) for s in range(20)]
+        for s in picks:
+            for qubit in "ABCD":
+                for x in (0, 0.3 - 0.7j, 2.5 + 1.5j, 1e-3, 1e3):
+                    reports = covariance_check_4(s, qubit, x)
+                    assert [(r.relation, r.residual, r.prefactor_used) for r in reports] == (
+                        covariance_check_4_by_branches(s, qubit, x)
+                    )
 
     def test_accepts_integer_qubits(self):
         reports = covariance_check_4(ghz(4), 4, 0.5)

@@ -61,20 +61,16 @@ _GEN_KINDS = ("ghz", "w", "cluster4", "product", "random")
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
+    def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-def _fail_usage(message: str) -> CliError:
-    return CliError(EXIT_USAGE, message)
 
 
 def _parse_qubit(text: str, n: int) -> int:
     try:
         return parse_qubit(text, n)
     except ValueError as exc:
-        raise _fail_usage(str(exc)) from None
+        raise CliError(str(exc)) from None
 
 
 def _natural(text: str) -> int:
@@ -86,16 +82,6 @@ def _natural(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid non-negative integer: {text!r}")
     return int(digits)
-
-
-def _parse_complex_pair(re_text: str, im_text: str, what: str) -> complex:
-    # float() alone would also read non-ASCII digits such as '١.٥' and underscores such as '1_0'
-    try:
-        if all(t.isascii() and "_" not in t for t in (re_text, im_text)):
-            return complex(float(re_text), float(im_text))
-    except ValueError:
-        pass
-    raise _fail_usage(f"invalid {what}: expected re,im floats")
 
 
 def _diagnose(line: str) -> None:
@@ -110,19 +96,19 @@ def _load_state(path: str) -> PureState:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except UnicodeDecodeError as exc:
-        raise CliError(EXIT_BAD_STATE, f"{path} is not UTF-8 text: {exc}") from exc
+        raise CliError(f"{path} is not UTF-8 text: {exc}", EXIT_BAD_STATE) from exc
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an over-long integer or over-deep nesting
-        raise CliError(EXIT_BAD_STATE, f"{path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_STATE) from exc
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             state = state_from_payload(payload)
     except ValueError as exc:
-        raise CliError(EXIT_BAD_STATE, f"{path}: {exc}") from exc
+        raise CliError(f"{path}: {exc}", EXIT_BAD_STATE) from exc
     for warning in caught:  # one stderr line each, without Python's source-line format
         _diagnose(f"tanglekit: warning: {warning.message}")
     return state
@@ -146,17 +132,17 @@ def _write_report(report: dict, path: str | None = None) -> None:
         if path is None and sys.stdout is not None:
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())  # raises for a stream with no fd
-        raise CliError(EXIT_IO, f"cannot write {where}: {exc}") from exc
+        raise CliError(f"cannot write {where}: {exc}", EXIT_IO) from exc
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if kind == "cluster4":
         if n not in (None, 4):
-            raise _fail_usage("cluster4 is a 4-qubit state")
+            raise CliError("cluster4 is a 4-qubit state")
         state = cluster4()
     elif n is None:
-        raise _fail_usage(f"kind {kind!r} requires a qubit count")
+        raise CliError(f"kind {kind!r} requires a qubit count")
     else:
         # the constructors check n before allocating or drawing anything
         try:
@@ -169,7 +155,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             else:
                 state = random_product_state(n, args.seed)
         except ValueError as exc:
-            raise _fail_usage(str(exc)) from None
+            raise CliError(str(exc)) from None
 
     _write_report(state_to_payload(state), args.out)
     return EXIT_OK
@@ -197,23 +183,23 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     want_tangle3 = args.tangle3 or (args.all and n == 3)
     want_tangle4 = args.tangle4 or (args.all and n == 4)
     if args.tangle3 and n != 3:
-        raise _fail_usage(f"--tangle3 requires a 3-qubit state, got n = {n}")
+        raise CliError(f"--tangle3 requires a 3-qubit state, got n = {n}")
     if args.tangle4 and n != 4:
-        raise _fail_usage(f"--tangle4 requires a 4-qubit state, got n = {n}")
+        raise CliError(f"--tangle4 requires a 4-qubit state, got n = {n}")
 
     neg_qubits = sorted({_parse_qubit(t, n) for t in args.negativity})
     kway_pairs = set()
     for text in args.kway:
         parts = text.split(",")
         if len(parts) != 2:
-            raise _fail_usage(f"--kway expects P,K, got {text!r}")
+            raise CliError(f"--kway expects P,K, got {text!r}")
         p = _parse_qubit(parts[0], n)
         try:
             k = _natural(parts[1])
         except argparse.ArgumentTypeError:
-            raise _fail_usage(f"--kway expects an integer K, got {parts[1]!r}") from None
+            raise CliError(f"--kway expects an integer K, got {parts[1]!r}") from None
         if not 2 <= k <= n:
-            raise _fail_usage(f"K must be in [2, {n}], got {k}")
+            raise CliError(f"K must be in [2, {n}], got {k}")
         kway_pairs.add((p, k))
     font_qubits = sorted({_parse_qubit(t, n) for t in args.fonts})
     if args.all:
@@ -221,7 +207,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         kway_pairs = {(p, k) for p in range(1, n + 1) for k in range(2, n + 1)}
 
     if not (want_tangle3 or want_tangle4 or neg_qubits or kway_pairs or font_qubits):
-        raise _fail_usage("no measures requested")
+        raise CliError("no measures requested")
 
     report: dict = {}
     if want_tangle3:
@@ -247,14 +233,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     n = state.n_qubits
 
     if not (args.decomposition or args.product_identity or args.covariance or args.lu_sweep):
-        raise _fail_usage("no checks requested")
+        raise CliError("no checks requested")
 
     report: dict = {}
     residuals: list[tuple[str, float]] = []
 
     if args.decomposition:
         if n < 2:
-            raise _fail_usage("--decomposition requires at least 2 qubits")
+            raise CliError("--decomposition requires at least 2 qubits")
         rho = density(state)
         value = max(decomposition_residual(rho, p) for p in range(1, n + 1))
         report["decomposition"] = value
@@ -262,27 +248,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.product_identity:
         if n != 3:
-            raise _fail_usage(f"--product-identity requires a 3-qubit state, got n = {n}")
+            raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
         report["product_identity"] = value = product_identity_residual(state)
         residuals.append(("product_identity", value))
 
     if args.covariance:
         parts = args.covariance.split(",")
         if len(parts) != 3:
-            raise _fail_usage(f"--covariance expects Q,RE,IM, got {args.covariance!r}")
-        param = _parse_complex_pair(parts[1], parts[2], "--covariance parameter")
+            raise CliError(f"--covariance expects Q,RE,IM, got {args.covariance!r}")
+        # float() alone would also read non-ASCII digits like '١.٥' and underscores like '1_0'
+        try:
+            if not all(t.isascii() and "_" not in t for t in parts[1:]):
+                raise ValueError
+            param = complex(float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise CliError("invalid --covariance parameter: expected re,im floats") from None
         if n not in (3, 4):
-            raise _fail_usage(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
+            raise CliError(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
         qubit = _parse_qubit(parts[0], n)
         if n == 3 and qubit != 2:
-            raise _fail_usage("three-qubit covariance relations are stated for qubit B")
+            raise CliError("three-qubit covariance relations are stated for qubit B")
         try:  # state and qubit are checked, so a ValueError rejects the parameter
             if n == 4:
                 checks = covariance_check_4(state, qubit, param)
             else:
                 checks = covariance_check_3(state, param)
         except ValueError as exc:
-            raise _fail_usage(str(exc)) from None
+            raise CliError(str(exc)) from None
         report["covariance"] = [
             {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
             for c in checks
@@ -291,14 +283,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.lu_sweep:
         if n not in (3, 4):
-            raise _fail_usage(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
+            raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
         parts = args.lu_sweep.split(",")
         if len(parts) != 2:
-            raise _fail_usage(f"--lu-sweep expects TRIALS,SEED, got {args.lu_sweep!r}")
+            raise CliError(f"--lu-sweep expects TRIALS,SEED, got {args.lu_sweep!r}")
         try:
             trials, seed = _natural(parts[0]), _natural(parts[1])
         except argparse.ArgumentTypeError:
-            raise _fail_usage("--lu-sweep expects non-negative integers TRIALS,SEED") from None
+            raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED") from None
         value = lu_invariance_sweep(state, trials, seed)
         report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
         residuals.append(("lu_sweep", value))

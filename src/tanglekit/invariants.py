@@ -22,7 +22,6 @@ from .states import (
     LocalUnitary,
     PureState,
     _haar_rotated,
-    _rotation_parameter,
     apply_local_unitary,
     parse_qubit,
     reduced_density,
@@ -155,11 +154,11 @@ def covariance_check_3(state: PureState, x: complex) -> list[CovarianceReport]:
     difference of the 3-way fonts and both B-fixed fonts are unchanged.
     """
     t0, t1, b0, b1, _, _ = _fonts(state, 3)
-    x = _rotation_parameter(x)
+    u = su2_rotation(x)
+    x = complex(x)
     xc = x.conjugate()
     x2 = abs(x) ** 2
     lam = 1.0 / (1.0 + x2)
-    u = su2_rotation(x)
     # fonts in pick-table order (t0, t1, b0, b1, c0, c1) after the rotation on A, B and C
     on_a, on_b, on_c = (
         _fonts(apply_local_unitary(state, LocalUnitary(q, u)), 3) for q in (1, 2, 3)
@@ -196,7 +195,10 @@ def _four_invariants(*fonts: np.ndarray | complex) -> np.ndarray | complex:
 
 
 def four_invariant(state: PureState) -> complex:
-    """(four_way[0][1] - four_way[0][0]) + (four_way[1][0] - four_way[1][1])."""
+    """(four_way[0][1] - four_way[0][0]) + (four_way[1][0] - four_way[1][1]).
+
+    It equals -1/2 psi^T sigma_y^(x4) psi (Wong and Christensen, PRA 63, 044301, 2001).
+    """
     return _four_invariants(*_fonts(state, 4)[:4])
 
 

@@ -12,6 +12,7 @@ operation mutates its inputs.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -31,9 +32,16 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
     for b in bits:
         # int() alone would also read other scripts' digits, Arabic-Indic or fullwidth
         if b not in ("0", "1", 0, 1):
-            raise ValueError(f"bit string may contain only 0 and 1, got {bits!r}")
+            raise ValueError(f"bit string may contain only 0 and 1, got {reprlib.repr(bits)}")
         value = (value << 1) | int(b)
     return value
+
+
+def _label_index(bits: str | Sequence[int], n: int) -> int:
+    """Integer encoding of a basis label of n qubits; ValueError unless it has n bits."""
+    if len(bits) != n:
+        raise ValueError(f"bit string {reprlib.repr(bits)} does not have length {n}")
+    return bits_to_index(bits)
 
 
 def index_to_bits(value: int, n: int) -> str:
@@ -69,7 +77,7 @@ def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray
 def _check_count(n: int, least: int = 1) -> None:
     """Raise unless least <= n <= MAX_QUBITS: the qubit counts the package supports."""
     if not least <= n <= MAX_QUBITS:
-        raise ValueError(f"requires {least} <= n <= {MAX_QUBITS} qubits, got {n}")
+        raise ValueError(f"requires {least} <= n <= {MAX_QUBITS} qubits, got {reprlib.repr(n)}")
 
 
 def _check_qubit(q: int, n: int) -> None:
@@ -154,9 +162,7 @@ class PureState:
         """Amplitude of the basis vector labelled by ``bits``."""
         if isinstance(bits, BasisIndex):
             bits = bits.string
-        if len(bits) != self.n_qubits:
-            raise ValueError(f"expected {self.n_qubits} bits, got {bits!r}")
-        return complex(self.amplitudes[bits_to_index(bits)])
+        return complex(self.amplitudes[_label_index(bits, self.n_qubits)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +204,7 @@ class DensityOperator:
     def element(self, i: str | BasisIndex, j: str | BasisIndex) -> complex:
         i = i.string if isinstance(i, BasisIndex) else i
         j = j.string if isinstance(j, BasisIndex) else j
-        if len(i) != self.n_qubits or len(j) != self.n_qubits:
-            raise ValueError("bit-string length must equal n_qubits")
-        return complex(self.matrix[bits_to_index(i), bits_to_index(j)])
+        return complex(self.matrix[_label_index(i, self.n_qubits), _label_index(j, self.n_qubits)])
 
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -221,9 +225,7 @@ def make_state(n: int, entries: Iterable[tuple[str, complex]]) -> PureState:
     raw = np.zeros(2**n, dtype=np.complex128)
     seen: set[int] = set()
     for bits, value in entries:
-        if len(bits) != n:
-            raise ValueError(f"bit string {bits!r} does not have length {n}")
-        idx = bits_to_index(bits)
+        idx = _label_index(bits, n)
         if idx in seen:
             raise ValueError(f"duplicate index {bits!r}")
         seen.add(idx)
@@ -268,24 +270,17 @@ def product_state(factors: Sequence[tuple[complex, complex]]) -> PureState:
     return PureState(n, amps, norm_shift=shift)
 
 
-def _rotation_parameter(x: complex) -> complex:
-    """x as a complex number; ValueError unless 1 + |x|^2 is finite (so x is too)."""
-    x = complex(x)
-    magnitude = math.hypot(x.real, x.imag)
-    if not math.isfinite(1.0 + magnitude * magnitude):
-        raise ValueError(f"rotation parameter must be finite with 1 + |x|^2 finite, got {x!r}")
-    return x
-
-
 def su2_rotation(x: complex) -> np.ndarray:
     """The unit-determinant unitary [[1, -conj(x)], [x, 1]] / sqrt(1 + |x|^2).
 
     Raises ValueError, before any arithmetic, when 1 + |x|^2 is not finite.
     """
-    x = _rotation_parameter(x)
-    return np.array([[1.0, -np.conj(x)], [x, 1.0]], dtype=np.complex128) / np.sqrt(
-        1.0 + abs(x) ** 2
-    )
+    x = complex(x)
+    magnitude = math.hypot(x.real, x.imag)
+    if not math.isfinite(1.0 + magnitude * magnitude):
+        raise ValueError(f"rotation parameter must be finite with 1 + |x|^2 finite, got {x!r}")
+    m = np.array([[1.0, -np.conj(x)], [x, 1.0]], dtype=np.complex128)
+    return m / np.sqrt(1.0 + abs(x) ** 2)
 
 
 def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -423,11 +418,11 @@ def state_from_payload(obj: dict) -> PureState:
     except KeyError as exc:
         raise ValueError(f"malformed state payload: missing {exc}") from exc
     if type(n) is not int:  # rejects bool and float as well
-        raise ValueError(f"n_qubits must be an integer, got {n!r}")
+        raise ValueError(f"n_qubits must be an integer, got {reprlib.repr(n)}")
     if not isinstance(raw_entries, list):
         raise ValueError("amplitudes must be a list")
     entries = []
-    for item in raw_entries:
+    for position, item in enumerate(raw_entries):
         try:
             index, real, imag = item["index"], item["re"], item["im"]
             if not isinstance(index, str):
@@ -437,7 +432,7 @@ def state_from_payload(obj: dict) -> PureState:
                 raise TypeError("re and im must be numbers")
             entries.append((index, complex(float(real), float(imag))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed amplitude entry {item!r}") from exc
+            raise ValueError(f"malformed amplitude entry {position}: {reprlib.repr(item)}") from exc
     state = make_state(n, entries)
     if state.norm_shift > NORM_TOL:
         warnings.warn(

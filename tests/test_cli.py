@@ -228,6 +228,32 @@ class TestMeasure:
         assert out == ""
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "n_qubits,entry,position",
+        [
+            ("3", "[" * 900 + "]" * 900, 1),
+            ("3", '{"index": "111", "re": "%s", "im": 0}' % ("x" * 5000), 1),
+            ("3", '"%s"' % ("x" * 5000), 1),
+            ("3", '{"index": "%s", "re": 1, "im": 0}' % ("0" * 3000), None),
+            ('"%s"' % ("y" * 3000), None, None),
+            ("9" * 4000, None, None),
+        ],
+        ids=["deep-list", "long-re", "long-entry", "long-index", "long-string-n", "long-int-n"],
+    )
+    def test_diagnostic_quotes_shortened_values(self, n_qubits, entry, position, tmp_path,
+                                                capsys):
+        # the one stderr line quotes at most a shortened repr of the offending value
+        good = '{"index": "000", "re": 1.0, "im": 0.0}'
+        entries = good if entry is None else f"{good}, {entry}"
+        path = tmp_path / "long.json"
+        path.write_text('{"n_qubits": %s, "amplitudes": [%s]}' % (n_qubits, entries))
+        code, out, err = run_cli(["measure", str(path), "--all"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+        if position is not None:
+            assert f"malformed amplitude entry {position}: " in err
+
     def test_negativity_kway_fonts(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from tanglekit.spectra import _minor_matrix
 from tanglekit.states import parse_qubit
 
 INV_SQRT2 = 1 / np.sqrt(2)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 BLOCK = invariants._SWEEP_BLOCK
 SWEEP_STATES = {
     "random": lambda n: random_state(n, 31),
@@ -241,6 +243,25 @@ class TestThreeTangle:
             tau = three_tangle(random_state(3, seed))
             assert -1e-12 <= tau <= 1 + 1e-12
 
+    def test_is_cayley_hyperdeterminant(self):
+        # 4 |d1 - 2 d2 + 4 d3| (Coffman, Kundu and Wootters, PRA 61, 052306, 2000), read
+        # straight from the amplitudes: an oracle that shares no code with font_minors
+        picks = [random_state(3, seed) for seed in range(2000)]
+        picks += [ghz(3), w_state(3), make_state(3, [("000", INV_SQRT2), ("011", INV_SQRT2)])]
+        picks += [random_product_state(3, seed) for seed in range(20)]
+        amps = np.stack([s.amplitudes for s in picks])
+        a = {f"{i:03b}": amps[:, i] for i in range(8)}
+        d1 = (a["000"] ** 2 * a["111"] ** 2 + a["001"] ** 2 * a["110"] ** 2
+              + a["010"] ** 2 * a["101"] ** 2 + a["100"] ** 2 * a["011"] ** 2)
+        d2 = (
+            a["000"] * a["111"] * a["011"] * a["100"] + a["000"] * a["111"] * a["101"] * a["010"]
+            + a["000"] * a["111"] * a["110"] * a["001"] + a["011"] * a["100"] * a["101"] * a["010"]
+            + a["011"] * a["100"] * a["110"] * a["001"] + a["101"] * a["010"] * a["110"] * a["001"]
+        )
+        d3 = a["000"] * a["110"] * a["101"] * a["011"] + a["111"] * a["001"] * a["010"] * a["100"]
+        cayley = 4 * np.abs(d1 - 2 * d2 + 4 * d3)
+        assert np.abs(np.array([three_tangle(s) for s in picks]) - cayley).max() < 1e-12
+
 
 class TestProductIdentity:
     def test_random_states(self):
@@ -389,6 +410,18 @@ class TestFourInvariantAndTangle:
         u, v = invariants._FOUR_PICKS[:, :4]
         stacked = invariants._four_tangles(invariants._four_invariants(*d[:, u, v].T))
         assert [four_tangle(s) for s in picks] == stacked.tolist()
+
+    def test_is_sigma_y_overlap(self):
+        # four_invariant = -1/2 psi^T sigma_y^(x4) psi (Wong and Christensen, PRA 63, 044301,
+        # 2001), with sigma_y^(x4) built by np.kron alone: no code shared with font_minors
+        picks = [random_state(4, seed) for seed in range(2000)]
+        picks += [ghz(4), w_state(4), cluster4()] + [random_product_state(4, s) for s in range(20)]
+        amps = np.stack([s.amplitudes for s in picks])
+        overlap = np.einsum("si,ij,sj->s", amps, reduce(np.kron, [SIGMA_Y] * 4), amps)
+        invariant = np.array([four_invariant(s) for s in picks])
+        tangle = np.array([four_tangle(s) for s in picks])
+        assert np.abs(invariant - (-0.5 * overlap)).max() < 1e-12
+        assert np.abs(tangle - np.abs(overlap) ** 2).max() < 1e-12
 
 
 class TestCovariance4:

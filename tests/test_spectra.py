@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from tanglekit import (
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
 
 def bell():
@@ -163,6 +166,18 @@ class TestFontMinors:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
             font_minors(bell(), 3)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_signed_complement_sum_is_sigma_y_overlap(self, n):
+        # sum_u (-1)^popcount(u) D[u, ~u] = (-1)^(n/2) psi^T sigma_y^(xn) psi, with ~u the
+        # complement of u in n - 1 bits and sigma_y^(xn) built by np.kron alone
+        y = reduce(np.kron, [SIGMA_Y] * n)
+        rest = 2 ** (n - 1)
+        signs = np.array([(-1) ** bin(u).count("1") for u in range(rest)])
+        for s in [random_state(n, seed) for seed in range(3)] + [ghz(n), w_state(n)]:
+            d = font_minors(s, 1)
+            signed = (signs * d[np.arange(rest), rest - 1 - np.arange(rest)]).sum()
+            assert abs(signed - (-1) ** (n // 2) * (s.amplitudes @ y @ s.amplitudes)) < 1e-12
 
 
 class TestFonts:

@@ -283,6 +283,16 @@ class TestBasisIndex:
         with pytest.raises(ValueError, match="only 0 and 1"):
             BasisIndex.from_string(bits)
 
+    @pytest.mark.parametrize(
+        "lookup",
+        [lambda: make_state(3, [("01", 1)]), lambda: ghz(3).amplitude("01"),
+         lambda: density(ghz(3)).element("000", "01")],
+        ids=["make_state", "amplitude", "element"],
+    )
+    def test_wrong_length_label_has_one_message(self, lookup):
+        with pytest.raises(ValueError, match="bit string '01' does not have length 3"):
+            lookup()
+
 
 # (constructor, stored attribute, valid input, input of the wrong shape)
 VALUE_TYPES = [

@@ -2,7 +2,7 @@
 
     tanglekit gen KIND N [--seed S] [--out PATH]
     tanglekit measure STATE.json [--tangle3] [--tangle4] [--negativity P]
-                                 [--kway P,K] [--fonts P] [--all]
+                                 [--kway P,K] [--fonts P] [--all] [--trace]
     tanglekit check STATE.json [--decomposition] [--product-identity]
                                [--covariance Q,RE,IM] [--lu-sweep TRIALS,SEED]
 
@@ -10,7 +10,9 @@ Reports are a single JSON object on stdout, newline-terminated; diagnostics
 go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
 names each failed check on stderr, one line each with its residual and
-the tolerance.  ``gen product`` draws ``states.random_product_state``.
+the tolerance.  ``measure --trace`` writes one JSON line per measure to
+stderr (stage, route, dim, ms), then one with the total ms and ru_maxrss.
+``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,10 @@ import errno
 import json
 import os
 import sys
+import time
 import warnings
+from collections.abc import Callable
+from functools import partial
 
 from . import __version__
 from .invariants import (
@@ -177,6 +182,7 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     state = _load_state(args.state)
     n = state.n_qubits
 
@@ -209,22 +215,36 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if not (want_tangle3 or want_tangle4 or neg_qubits or kway_pairs or font_qubits):
         raise CliError("no measures requested")
 
-    report: dict = {}
+    # (report key, route, computation) in report order; every matrix is 2**(n-1) square
+    stages: list[tuple[str, str, Callable[[], object]]] = []
     if want_tangle3:
-        report["tangle3"] = three_tangle(state)
+        stages.append(("tangle3", "closed_form", partial(three_tangle, state)))
     if want_tangle4:
-        report["tangle4"] = four_tangle(state)
+        stages.append(("tangle4", "closed_form", partial(four_tangle, state)))
         if args.all:
-            report["four_invariant_abs"] = abs(four_invariant(state))
-    for p in neg_qubits:
-        report[f"negativity_q{p}"] = global_negativity(state, p)
-    rho = density(state) if kway_pairs else None
-    for p, k in sorted(kway_pairs):
-        report[f"kway_q{p}_k{k}"] = kway_negativity(rho, p, k)
-    for p in font_qubits:
-        report[f"fonts_q{p}"] = _fonts_json(enumerate_fonts(state, p), n)
+            stages.append(("four_invariant_abs", "closed_form", lambda: abs(four_invariant(state))))
+    stages += [(f"negativity_q{p}", "closed_form", partial(global_negativity, state, p))
+               for p in neg_qubits]
+    stages += [(f"kway_q{p}_k{k}", "half_size", partial(kway_negativity, state, p, k))
+               for p, k in sorted(kway_pairs)]
+    stages += [(f"fonts_q{p}", "closed_form", lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
+               for p in font_qubits]
+
+    report: dict = {}
+    for key, route, compute in stages:
+        began = time.perf_counter()
+        report[key] = compute()
+        if args.trace:
+            ms = round(1000.0 * (time.perf_counter() - began), 3)
+            _diagnose(json.dumps({"stage": key, "route": route, "dim": 2 ** (n - 1), "ms": ms}))
 
     _write_report(report)
+    if args.trace:
+        import resource  # Unix only, so imported where the trace needs it
+
+        ms = round(1000.0 * (time.perf_counter() - started), 3)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        _diagnose(json.dumps({"stage": "total", "ms": ms, "ru_maxrss": peak}))
     return EXIT_OK
 
 
@@ -325,6 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--kway", action="append", default=[], metavar="P,K")
     measure.add_argument("--fonts", action="append", default=[], metavar="P")
     measure.add_argument("--all", action="store_true", help="every measure valid for the state")
+    measure.add_argument("--trace", action="store_true",
+                         help="write each stage's route, matrix size and time to stderr")
     measure.set_defaults(handler=_cmd_measure)
 
     check = sub.add_parser("check", help="run identity and invariance checks")

@@ -11,9 +11,12 @@ negative eigenvalue is -|det nu| where nu is the 2x2 amplitude matrix
 Each such nu is a 2x2 minor of qubit p's 2 x 2**(n-1) amplitude matrix, and
 ``font_minors`` computes all of them at once.  The fonts, the 2-qubit font
 negativity and the global negativity (a closed form over the minors, by
-Cauchy-Binet) derive from it.  K-way negativities are not font sums: they
-go through the dense Hermitian eigensolver and take the density operator,
-so one rho serves every (p, K) and mixed operators are measured the same way.
+Cauchy-Binet) derive from it.  K-way negativities are not font sums.  For a
+pure state the K-way transpose of psi psi^dag is unitarily similar to
+diag(mu, -mu) + z z^dag, with mu the spectrum of one 2**(n-1) Hermitian matrix
+built from qubit p's two rows, so one half-size eigensolve and the secular
+equation of that rank-one update give it; a mixed DensityOperator takes the
+dense transpose and eigensolve.
 """
 from __future__ import annotations
 
@@ -21,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, PureState, _check_qubit
-from .transpose import _rest_distance, kway_pt
+from .states import DensityOperator, PureState, _check_finite, _check_qubit
+from .transpose import _kway_selection, _rest_distance, kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
 NEG_EIG_TOL = 1e-12
 FONT_ZERO_TOL = 1e-14
 _HERMITIAN_CHECK_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+# a bracket halved this often is below one ulp of any root
+_SECULAR_MAX_STEPS = 64
 
 _SIGMA_YY = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=np.complex128
@@ -35,20 +41,32 @@ _SIGMA_YY = np.array(
 
 
 def hermitian_eigenvalues(m: np.ndarray | DensityOperator) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(_hermitian(m))
 
-    A raw array is checked for Hermiticity; a DensityOperator is read-only and
-    was checked to the stricter HERMITIAN_TOL when it was built.
+
+def hermitian_eigenpairs(m: np.ndarray | DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Real eigenvalues of a Hermitian matrix, ascending, and its eigenvectors as columns."""
+    return np.linalg.eigh(_hermitian(m))
+
+
+def _hermitian(m: np.ndarray | DensityOperator) -> np.ndarray:
+    """The matrix of m, for the Hermitian eigensolvers.
+
+    A raw array is checked to be square, finite and Hermitian; a
+    DensityOperator is read-only and was checked to the stricter
+    HERMITIAN_TOL when it was built.
     """
     if isinstance(m, DensityOperator):
-        return np.linalg.eigvalsh(m.matrix)
+        return m.matrix
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _check_finite(m, "matrix")
     defect = np.abs(m - m.conj().T).max()
     if defect > _HERMITIAN_CHECK_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
-    return np.linalg.eigvalsh(m)
+    return m
 
 
 def trace_norm(m: np.ndarray | DensityOperator) -> float:
@@ -68,11 +86,113 @@ def global_negativity(state: PureState, p: int) -> float:
     return float(2.0 * np.sqrt(np.sum(d.real**2 + d.imag**2) / 2.0)) / norm2
 
 
-def kway_negativity(rho: DensityOperator, p: int, K: int) -> float:
-    """Twice the absolute sum of negative eigenvalues of the K-way transpose."""
-    eigs = hermitian_eigenvalues(kway_pt(rho, p, K))
+def kway_negativity(operand: PureState | DensityOperator, p: int, K: int) -> float:
+    """Twice the absolute sum of negative eigenvalues of the K-way transpose.
+
+    A DensityOperator takes the dense spectrum of ``kway_pt``.  A PureState, with
+    a, b qubit p's rows and C_K the K-way selection table, takes one 2**(n-1) eigensolve:
+
+        H = i (b a^dag - a b^dag) o C_K = V diag(mu) V^dag
+        z = [V^dag (a - i b), V^dag (a + i b)] / sqrt 2
+        spectrum(kway_pt(psi psi^dag)) = spectrum(diag(mu, -mu) + z z^dag)
+    """
+    if isinstance(operand, PureState):
+        eigs = _half_size_spectrum(operand, p, K)
+    else:
+        eigs = hermitian_eigenvalues(kway_pt(operand, p, K))
     negative = eigs[eigs < -NEG_EIG_TOL]
     return float(2.0 * abs(negative.sum()))
+
+
+def _half_size_spectrum(state: PureState, p: int, K: int) -> np.ndarray:
+    """Eigenvalues of the K-way transpose of the state's operator, among them every negative one.
+
+    In block order (bit p = 0, bit p = 1) the transpose is psi psi^dag plus
+    [[0, Y], [Y^dag, 0]] with Y = -i H; [[V, V], [iV, -iV]] / sqrt 2 takes
+    that sum to diag(mu, -mu) plus the rank-one z z^dag.
+    """
+    n = state.n_qubits
+    _check_qubit(p, n)
+    a, b = _rows(state.amplitudes, n, p)
+    x = np.outer(b, a.conj())
+    mu, v = hermitian_eigenpairs(np.where(_kway_selection(n, K), 1j * (x - x.conj().T), 0))
+    norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)  # as ``density`` divides
+    z = v.conj().T @ np.stack([a - 1j * b, a + 1j * b], axis=1)
+    weights = (z.real**2 + z.imag**2).T.reshape(-1) / (2.0 * norm2)
+    return _rank_one_spectrum(np.concatenate([mu, -mu]) / norm2, weights)
+
+
+def _rank_one_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of diag(d) + z z^dag with |z|^2 = w, among them every one below -NEG_EIG_TOL.
+
+    A pole whose weight is below tolerance is itself an eigenvalue, and poles
+    closer than tolerance merge into one carrying their summed weight, each
+    leaving the others behind as eigenvalues (Bunch, Nielsen and Sorensen
+    1978).  The merged poles are distinct with positive weights, so one root
+    of the secular equation lies right of each.
+    """
+    order = np.argsort(d, kind="stable")
+    d, w = d[order], w[order]
+    tol = 8.0 * _EPS * max(np.abs(d).max(), w.sum())
+    live = w > tol**2  # deflating a weight moves an eigenvalue by at most its sqrt
+    kept, d, w = d[~live], d[live], w[live]
+    first = np.concatenate([[True], np.diff(d) > tol])
+    weights = np.bincount(np.cumsum(first) - 1, weights=w)
+    return np.concatenate([kept, d[~first], _secular_roots(d[first], weights)])
+
+
+def _secular_roots(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Roots of 1 + sum_i w_i / (d_i - lam) right of each pole d_k < -NEG_EIG_TOL.
+
+    d ascends strictly and w > 0, so the root right of d_k lies in
+    (d_k, d_k+1), or for the last pole in (d_k, d_k + sum w].  As in LAPACK
+    dlaed4, each root is sought as its offset from the nearer end pole with the
+    "middle way" rational step (Li, LAPACK Working Note 89), a Newton step
+    where that points the wrong way and a bisection where a step leaves the
+    sign bracket, until a step is at most 2 ulp of lam (or of the offset).
+    """
+    k = np.flatnonzero(d < -NEG_EIG_TOL)
+    # the last root lies in (d_max, d_max + sum w]: a zero-weight end beyond that closes it
+    ends = np.append(d[1:], d[-1] + 2.0 * w.sum())[k]
+    middle = (d[k] + ends) / 2.0
+    # f > 0 at the middle puts the root in the left half, nearer d_k
+    nearer_left = 1.0 + (w / (d[None, :] - middle[:, None])).sum(axis=1) >= 0
+    origin = np.where(nearer_left | (k == d.size - 1), d[k], ends)
+    offset = d[None, :] - origin[:, None]  # d_i - origin, exact near the origin
+    left = np.arange(d.size) <= k[:, None]  # the poles left of each interval
+    lower, upper = d[k] - origin, ends - origin
+    tau, lo, hi = middle - origin, lower.copy(), upper.copy()
+    active = np.arange(k.size)
+    with np.errstate(all="ignore"):  # a pole hit in the last ulp gives inf; its bisection follows
+        for _ in range(_SECULAR_MAX_STEPS):
+            t, e = tau[active], left[active]
+            delta = offset[active] - t[:, None]  # d_i - lam
+            terms = w / delta
+            slopes = terms / delta
+            f = 1.0 + terms.sum(axis=1)
+            dpsi = np.where(e, slopes, 0.0).sum(axis=1)
+            dphi = np.where(e, 0.0, slopes).sum(axis=1)
+            lo[active] = np.where(f < 0, t, lo[active])
+            hi[active] = np.where(f > 0, t, hi[active])
+            dk, dk1 = lower[active] - t, upper[active] - t
+            A = (dk + dk1) * f - dk * dk1 * (dpsi + dphi)
+            B = dk * dk1 * f
+            C = f - dk * dpsi - dk1 * dphi
+            disc = np.sqrt(np.abs(A * A - 4.0 * B * C))
+            # the root of C eta^2 - A eta + B inside (dk, dk1), without cancellation
+            eta = np.where(A <= 0, (A - disc) / (2.0 * C), 2.0 * B / (A + disc))
+            eta = np.where(C == 0, B / A, eta)
+            eta = np.where(f * eta >= 0, -f / (dpsi + dphi), eta)  # the wrong way: Newton
+            step = t + eta
+            ulp2 = 2.0 * _EPS * np.maximum(np.abs(origin[active] + t), np.abs(t))
+            close = np.abs(eta) <= ulp2
+            inside = close | (lo[active] < step) & (step < hi[active])
+            step = np.where(inside, step, (lo[active] + hi[active]) / 2.0)
+            tau[active] = step
+            active = active[~close & (np.abs(step - t) > ulp2)]
+            if active.size == 0:
+                break
+    return origin + tau
 
 
 def font_minors(state: PureState, p: int) -> np.ndarray:
@@ -87,13 +207,20 @@ def font_minors(state: PureState, p: int) -> np.ndarray:
     return _minor_matrix(state.amplitudes, state.n_qubits, p)
 
 
-def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:
-    """``font_minors`` of each amplitude vector in the stack amps (..., 2**n)."""
+def _rows(amps: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows m0, m1 (bit p = 0, 1) of qubit p's 2 x 2**(n-1) matrix for each vector in amps.
+
+    Column u lists the other bits in qubit order, as ``_rest_distance`` does.
+    """
     lead = amps.shape[:-1]
     rows = amps.reshape(lead + (2 ** (p - 1), 2, 2 ** (n - p)))
-    m0 = rows[..., 0, :].reshape(lead + (-1, 1))
-    m1 = rows[..., 1, :].reshape(lead + (1, -1))
-    prod = _product(m0, m1)
+    return rows[..., 0, :].reshape(lead + (-1,)), rows[..., 1, :].reshape(lead + (-1,))
+
+
+def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:
+    """``font_minors`` of each amplitude vector in the stack amps (..., 2**n)."""
+    m0, m1 = _rows(amps, n, p)
+    prod = _product(m0[..., :, None], m1[..., None, :])
     return prod - np.swapaxes(prod, -1, -2)
 
 

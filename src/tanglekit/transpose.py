@@ -33,6 +33,14 @@ def _rest_distance(m: int) -> np.ndarray:
     return table
 
 
+def _kway_selection(n: int, K: int) -> np.ndarray:
+    """Bool (2**(n-1), 2**(n-1)) table of the rest-label pairs the K-way transpose selects."""
+    if not 2 <= K <= n:
+        raise ValueError(f"K must be in [2, {n}], got {K}")
+    distance = _rest_distance(n - 1)
+    return distance <= 1 if K == 2 else distance == K - 1
+
+
 def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarray:
     """A copy of rho's matrix transposed in bit p: globally if K is None, else K-way."""
     n = rho.n_qubits
@@ -40,8 +48,7 @@ def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarra
     high, low = 2 ** (p - 1), 2 ** (n - p)
     selected = True  # every element of the two blocks: the global transpose
     if K is not None:
-        distance = _rest_distance(n - 1).reshape(high, low, high, low)
-        selected = distance <= 1 if K == 2 else distance == K - 1
+        selected = _kway_selection(n, K).reshape(high, low, high, low)
     blocks = rho.matrix.reshape(high, 2, low, high, 2, low)
     out = rho.matrix.copy()
     view = out.reshape(blocks.shape)
@@ -63,11 +70,8 @@ def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
     at Hamming distance K - 1 (at most 1 when K = 2), takes its globally
     transposed value; every other element is copied unchanged.
     """
-    n = rho.n_qubits
-    _check_qubit(p, n)
-    if not 2 <= K <= n:
-        raise ValueError(f"K must be in [2, {n}], got {K}")
-    return DensityOperator(n, _transposed(rho, p, K))
+    _check_qubit(p, rho.n_qubits)
+    return DensityOperator(rho.n_qubits, _transposed(rho, p, K))
 
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:

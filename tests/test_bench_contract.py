@@ -86,9 +86,12 @@ def test_traced_run_matches_untraced(argv, tmp_path, monkeypatch):
         assert record["digest"] == record["untraced_digest"]
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
-    layers = tracing.layer_metrics(*tracing.load_spans(out_dir / "spans.npz"))
+    spans, names = tracing.load_spans(out_dir / "spans.npz")
+    layers = tracing.layer_metrics(spans, names)
     if "--kway" in argv:
-        assert layers["transpose.kway_pt_calls"] >= 1
+        # a pure state's K-way value takes the half-size route: no kway_pt, one eigh
+        assert layers["spectra.kway_negativity_calls"] >= 1
+        assert names.index("spectra.hermitian_eigenpairs") in spans["name_id"]
     if "--fonts" in argv:
         assert layers["spectra.fonts_emitted"] > 0
         # one render_json per report: it writes all of stdout but each report's newline

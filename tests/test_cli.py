@@ -282,7 +282,8 @@ class TestMeasure:
         assert abs(report["tangle4"] - 4 * report["four_invariant_abs"] ** 2) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_all_builds_rho_once(self, n, tmp_path, capsys, monkeypatch):
+    def test_all_builds_no_operator(self, n, tmp_path, capsys, monkeypatch):
+        # every measure of a pure state works on its amplitudes: no rho, no transpose
         path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
         built = []
         validate = DensityOperator.__post_init__
@@ -294,8 +295,28 @@ class TestMeasure:
         monkeypatch.setattr(DensityOperator, "__post_init__", counting)
         code, _, _ = run_cli(["measure", str(path), "--all"], capsys)
         assert code == 0
-        # rho, then one K-way transpose per (p, K)
-        assert len(built) == 1 + n * (n - 1)
+        assert built == []
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_trace_leaves_stdout_alone(self, n, tmp_path, capsys):
+        path = write_state(tmp_path, "r.json", "random", str(n), "--seed", "2", capsys=capsys)
+        _, plain, quiet = run_cli(["measure", str(path), "--all"], capsys)
+        code, traced, err = run_cli(["measure", str(path), "--all", "--trace"], capsys)
+        assert code == 0
+        assert traced == plain
+        assert quiet == ""
+        lines = [json.loads(line) for line in err.splitlines()]
+        stages, total = lines[:-1], lines[-1]
+        # one line per report key, in report order, then the total
+        assert [line["stage"] for line in stages] == list(json.loads(plain))
+        for line in stages:
+            half_size = line["stage"].startswith("kway_")
+            assert line["route"] == ("half_size" if half_size else "closed_form")
+            assert line["dim"] == 2 ** (n - 1)
+            assert line["ms"] >= 0
+        assert total["stage"] == "total"
+        assert total["ms"] >= sum(line["ms"] for line in stages)
+        assert total["ru_maxrss"] > 0
 
     def test_no_flags_is_usage_error(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)

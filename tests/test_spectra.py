@@ -1,3 +1,5 @@
+import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from tanglekit import (
     DensityOperator,
     LocalUnitary,
+    PureState,
     apply_local_unitary,
     concurrence_2q,
     density,
@@ -16,15 +19,18 @@ from tanglekit import (
     global_negativity,
     global_pt,
     haar_unitary,
+    hermitian_eigenpairs,
     hermitian_eigenvalues,
     index_to_bits,
     kway_negativity,
     make_state,
     product_state,
+    random_product_state,
     random_state,
     trace_norm,
     w_state,
 )
+from tanglekit.spectra import NEG_EIG_TOL, _rank_one_spectrum
 
 INV_SQRT2 = 1 / np.sqrt(2)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -61,6 +67,30 @@ class TestHermitianEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             hermitian_eigenvalues(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [[[np.nan]], [[np.inf, 0], [0, 1]]])
+    @pytest.mark.parametrize("solver", [hermitian_eigenvalues, hermitian_eigenpairs, trace_norm])
+    def test_rejects_non_finite(self, solver, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN or inf must not reach the arithmetic
+            with pytest.raises(ValueError, match="must be finite"):
+                solver(np.array(bad))
+
+    @pytest.mark.parametrize("dim", [1, 8, 32])
+    def test_eigenpairs_diagonalize(self, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = (g + g.conj().T) / 2
+        values, vectors = hermitian_eigenpairs(m)
+        np.testing.assert_allclose(values, hermitian_eigenvalues(m), rtol=0, atol=1e-12)
+        assert np.abs(vectors.conj().T @ vectors - np.eye(dim)).max() < 1e-13
+        assert np.abs((vectors * values) @ vectors.conj().T - m).max() < 1e-12
+
+    def test_eigenpairs_check_like_eigenvalues(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigenpairs(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenpairs(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
     def test_sum_matches_trace(self, dim):
@@ -121,18 +151,109 @@ class TestGlobalNegativity:
 
 
 class TestKWayNegativity:
+    # each value by the half-size route (PureState) and by the dense route (DensityOperator)
     def test_ghz3_values(self):
-        assert abs(kway_negativity(density(ghz(3)), 1, 3) - 1) < 1e-12
-        assert kway_negativity(density(ghz(3)), 1, 2) == 0.0
+        for operand in (ghz(3), density(ghz(3))):
+            assert abs(kway_negativity(operand, 1, 3) - 1) < 1e-12
+            assert kway_negativity(operand, 1, 2) == 0.0
 
     def test_w3_three_way_is_zero(self):
-        assert kway_negativity(density(w_state(3)), 1, 3) == 0.0
+        for operand in (w_state(3), density(w_state(3))):
+            assert kway_negativity(operand, 1, 3) == 0.0
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            kway_negativity(density(ghz(3)), 1, 4)
-        with pytest.raises(ValueError):
-            kway_negativity(density(ghz(3)), 4, 2)
+        for operand in (ghz(3), density(ghz(3))):
+            with pytest.raises(ValueError):
+                kway_negativity(operand, 1, 4)
+            with pytest.raises(ValueError):
+                kway_negativity(operand, 4, 2)
+            with pytest.raises(ValueError):
+                kway_negativity(operand, 1, 1)
+
+
+def plus_on_first_qubit(n, seed):
+    """|+> on qubit 1 times a random rest: qubit 1's rows a and b are equal."""
+    rest = random_state(n - 1, seed).amplitudes
+    return PureState(n, np.concatenate([rest, rest]) / math.sqrt(2))
+
+
+def oracle_states(n):
+    states = [random_state(n, 4000 + n), random_product_state(n, 4100 + n), ghz(n), w_state(n)]
+    return states + [plus_on_first_qubit(n, 4200 + n)]
+
+
+class TestHalfSizeOracle:
+    """The half-size route against the dense route on the state's density operator."""
+
+    @staticmethod
+    def assert_matches(state, qubits, ks):
+        rho = density(state)
+        for p in qubits:
+            for K in ks:
+                gap = abs(kway_negativity(state, p, K) - kway_negativity(rho, p, K))
+                assert gap < 1e-12, (state.n_qubits, p, K, gap)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_qubit_and_k(self, n):
+        for state in oracle_states(n):
+            self.assert_matches(state, range(1, n + 1), range(2, n + 1))
+
+    def test_eight_qubits(self):
+        for state in oracle_states(8):
+            self.assert_matches(state, (1, 4, 8), range(2, 9))
+
+    # one dense oracle value costs about 0.1 s at n = 9 and 0.5 s at n = 10, so the
+    # structured states stop at n = 8; the Haar state goes on, and at n = 9 so does
+    # |+> times a Haar state on a qubit where its poles deflate and merge
+    def test_nine_qubits(self):
+        self.assert_matches(random_state(9, 4009), (1, 5, 9), range(2, 10))
+        self.assert_matches(plus_on_first_qubit(9, 4209), (5,), range(2, 10))
+
+    def test_ten_qubits(self):
+        self.assert_matches(random_state(10, 4010), (1, 10), (2, 3, 10))
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_equal_rows_merge_every_pole(self, n):
+        # a = b on qubit 1 makes H zero: all 2**n poles sit at 0 and merge into one, and
+        # the state is a product across qubit 1
+        state = plus_on_first_qubit(n, 4300 + n)
+        assert [kway_negativity(state, 1, K) for K in range(2, n + 1)] == [0.0] * (n - 1)
+
+
+def rank_one_case(name):
+    """Poles d and weights w, unit total weight unless noted, 48 poles each."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    d = rng.standard_normal(48) / 4
+    w = rng.random(48)
+    if name == "ties":  # each pole three times
+        d = np.repeat(d[:16], 3)
+    elif name == "zero_weights":
+        w[::2] = 0.0
+    elif name == "tiny_weights":
+        w[::3] = 1e-20
+    elif name == "negative_only":  # the root right of the largest pole may be negative too
+        d = -np.abs(d) - 0.1
+        w *= 0.05 / w.sum()
+        return d, w
+    elif name == "clusters":  # poles 1e-15 apart
+        d = np.repeat(d[:12], 4) + np.tile(np.arange(4) * 1e-15, 12)
+    return d, w / w.sum()
+
+
+class TestRankOneSpectrum:
+    # the secular solve against a dense eigensolve of diag(d) + z z^dag
+    @pytest.mark.parametrize(
+        "name", ["random", "ties", "zero_weights", "tiny_weights", "negative_only", "clusters"]
+    )
+    def test_negative_eigenvalues_match_dense(self, name):
+        d, w = rank_one_case(name)
+        z = np.sqrt(w)
+        dense = np.linalg.eigvalsh(np.diag(d) + np.outer(z, z))
+        eigs = _rank_one_spectrum(d, w)
+        ours = np.sort(eigs[eigs < -NEG_EIG_TOL])
+        theirs = dense[dense < -NEG_EIG_TOL]
+        assert ours.size == theirs.size
+        assert np.abs(ours - theirs).max() < 1e-14
 
 
 class TestFontMinors:

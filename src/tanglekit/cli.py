@@ -27,6 +27,8 @@ import warnings
 from collections.abc import Callable
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .invariants import (
     covariance_check_3,
@@ -168,17 +170,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _fonts_json(fonts: Fonts, n: int) -> Rendered:
     """The fonts as a JSON list of objects, one row of the Fonts columns each."""
-    det, label = fonts.det, f"0{n}b"
-    rows = zip(
-        (format(i, label) for i in fonts.i.tolist()),
-        (format(j, label) for j in fonts.j.tolist()),
-        fonts.k.tolist(),
-        *(map(format_float, c.tolist()) for c in (det.real, det.imag, fonts.lambda_minus)),
-        ("true" if negligible else "false" for negligible in fonts.negligible.tolist()),
-    )
-    row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %s, '
-           '"det_im": %s, "lambda_minus": %s, "negligible": %s}')
-    return Rendered("[" + ", ".join(row % values for values in rows) + "]")
+    floats = (fonts.det.real, fonts.det.imag, fonts.lambda_minus)
+    # %.17g is format_float on finite non-integral doubles; rows with any other value take the rule
+    ruled = np.logical_or.reduce([(c == np.trunc(c)) | ~np.isfinite(c) for c in floats])
+    label = [format(x, f"0{n}b") for x in range(2**n)]
+    rows = zip(map(label.__getitem__, fonts.i.tolist()), map(label.__getitem__, fonts.j.tolist()),
+               fonts.k.tolist(), *(c.tolist() for c in floats),
+               ("true" if negligible else "false" for negligible in fonts.negligible.tolist()))
+    row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %.17g, '
+           '"det_im": %.17g, "lambda_minus": %.17g, "negligible": %s}')
+    ruled_row = row.replace("%.17g", "%s")
+    return Rendered("[" + ", ".join(
+        ruled_row % (*v[:3], *map(format_float, v[3:6]), v[6]) if r else row % v
+        for v, r in zip(rows, ruled.tolist())) + "]")
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:

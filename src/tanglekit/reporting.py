@@ -1,9 +1,10 @@
 """Deterministic JSON rendering for reports and state files.
 
-Floats are written with 17 significant digits (round-trip exact for IEEE
-doubles) and always carry a decimal point so they read back as floats;
-non-finite numbers are rejected.  Dict insertion order is preserved, which
-makes repeated seeded runs byte-identical.
+format_float is the one float rule: 17 significant digits (round-trip exact
+for IEEE doubles), always a decimal point or exponent so they read back as
+floats, -0.0 as 0.0, and non-finite numbers rejected.  The fonts writer's
+%.17g is a fast path for the values this rule leaves alone.  Dict insertion
+order is preserved, which makes repeated seeded runs byte-identical.
 """
 from __future__ import annotations
 

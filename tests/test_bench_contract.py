@@ -57,6 +57,19 @@ def test_lu_checks_ops_pass_the_reference(tmp_path, monkeypatch):
         assert reference.verify(op, proc.returncode, proc.stdout) == [], proc.stderr
 
 
+@pytest.mark.parametrize("workload", ["fonts", "measure-all"])
+def test_first_measure_op_passes_the_reference(workload, tmp_path, monkeypatch):
+    # the fonts writer and the measure report, judged by the benchmark's checker
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    reference = importlib.import_module("reference")
+    op = workloads.build(workload, 2024, tmp_path)[0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanglekit", *op.argv], cwd=ROOT, capture_output=True, timeout=120
+    )
+    assert reference.verify(op, proc.returncode, proc.stdout) == [], proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "STATE", "--negativity", "2", "--kway", "2,3"],
     ["check", "STATE", "--decomposition"],

@@ -8,8 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from tanglekit import DensityOperator, enumerate_fonts, global_negativity, state_from_payload
-from tanglekit.cli import main
+from tanglekit import (
+    DensityOperator,
+    Fonts,
+    enumerate_fonts,
+    global_negativity,
+    random_state,
+    state_from_payload,
+)
+from tanglekit.cli import _fonts_json, main
 from tanglekit.reporting import format_float, render_json
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -300,23 +307,26 @@ class TestMeasure:
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_trace_leaves_stdout_alone(self, n, tmp_path, capsys):
         path = write_state(tmp_path, "r.json", "random", str(n), "--seed", "2", capsys=capsys)
-        _, plain, quiet = run_cli(["measure", str(path), "--all"], capsys)
-        code, traced, err = run_cli(["measure", str(path), "--all", "--trace"], capsys)
-        assert code == 0
-        assert traced == plain
-        assert quiet == ""
-        lines = [json.loads(line) for line in err.splitlines()]
-        stages, total = lines[:-1], lines[-1]
-        # one line per report key, in report order, then the total
-        assert [line["stage"] for line in stages] == list(json.loads(plain))
-        for line in stages:
-            half_size = line["stage"].startswith("kway_")
-            assert line["route"] == ("half_size" if half_size else "closed_form")
-            assert line["dim"] == 2 ** (n - 1)
-            assert line["ms"] >= 0
-        assert total["stage"] == "total"
-        assert total["ms"] >= sum(line["ms"] for line in stages)
-        assert total["ru_maxrss"] > 0
+        # --all has no fonts stage
+        for flags in (["--all"], ["--fonts", "1"]):
+            _, plain, quiet = run_cli(["measure", str(path), *flags], capsys)
+            code, traced, err = run_cli(["measure", str(path), *flags, "--trace"], capsys)
+            assert code == 0
+            assert traced == plain
+            assert quiet == ""
+            lines = [json.loads(line) for line in err.splitlines()]
+            stages, total = lines[:-1], lines[-1]
+            # one line per report key, in report order, then the total
+            assert [line["stage"] for line in stages] == list(json.loads(plain))
+            for line in stages:
+                half_size = line["stage"].startswith("kway_")
+                assert line["route"] == ("half_size" if half_size else "closed_form")
+                assert line["dim"] == 2 ** (n - 1)
+                assert line["ms"] >= 0
+            assert total["stage"] == "total"
+            assert total["ms"] >= sum(line["ms"] for line in stages)
+            assert total["ru_maxrss"] > 0
+        assert [line["stage"] for line in stages] == ["fonts_q1"]
 
     def test_no_flags_is_usage_error(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)
@@ -524,6 +534,56 @@ class TestFontsReport:
         assert out == render_json(report) + "\n"
 
 
+def hand_built_fonts(det_re, det_im, lambda_minus):
+    """Fonts of qubit 1 of a 3-qubit state, one row per value, with the given float columns."""
+    m = len(det_re)
+    det = np.zeros(m, dtype=complex)
+    det.real, det.imag = det_re, det_im  # x + 1j * y would turn -0.0 to 0.0 and inf to nan
+    return Fonts(1, np.zeros(m, dtype=np.int64), np.full(m, 0b101, dtype=np.int64),
+                 np.full(m, 2, dtype=np.int64), det, np.array(lambda_minus, dtype=float),
+                 np.arange(m) % 2 == 0)
+
+
+class TestFontsWriter:
+    """The fonts writer on hand-built Fonts: the values %.17g would write unlike format_float."""
+
+    def test_rule_writes_every_value_where_17g_differs(self):
+        rng = np.random.default_rng(2024)
+        values = [0.0, -0.0, 1.0, -1.0, 3.0, 2.0**52, -(2.0**53), 1e16, 1e300, -1.5e308]
+        values += rng.integers(-(2**40), 2**40, size=200).astype(float).tolist()
+        values += (2.0 ** rng.integers(0, 1024, size=200)).tolist()
+        values += rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64).tolist()
+        values = [x for x in values if np.isfinite(x)]
+        differ = [x for x in values if "%.17g" % x != format_float(x)]
+        assert {"-0", "0", "3", "4503599627370496"} <= {"%.17g" % x for x in differ}
+        for columns in ([values, values, values], [values, [0.5] * len(values), [-0.5] * len(values)],
+                        [[0.25] * len(values), [-0.75] * len(values), values]):
+            fonts = hand_built_fonts(*columns)
+            assert _fonts_json(fonts, 3) == render_json(font_records(fonts, 3))
+
+    def test_negative_zero_column_prints_zero(self):
+        fonts = hand_built_fonts([0.1], [-0.0], [-0.30000000000000004])
+        text = _fonts_json(fonts, 3)
+        assert text == ('[{"i": "000", "j": "101", "p": 1, "k": 2, "det_re": 0.10000000000000001, '
+                        '"det_im": 0.0, "lambda_minus": -0.30000000000000004, "negligible": true}]')
+        assert text == render_json(font_records(fonts, 3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("column", range(3))
+    def test_non_finite_raises_the_rule_error(self, bad, column):
+        columns = [[0.1, 0.2], [0.3, 0.4], [-0.5, -0.6]]
+        columns[column][1] = bad
+        with pytest.raises(ValueError) as rule:
+            format_float(bad)
+        with pytest.raises(ValueError) as writer:
+            _fonts_json(hand_built_fonts(*columns), 3)
+        assert str(writer.value) == str(rule.value)
+
+    def test_one_qubit_has_no_fonts(self):
+        assert _fonts_json(enumerate_fonts(random_state(1, 0), 1), 1) == "[]"
+        assert _fonts_json(hand_built_fonts([], [], []), 3) == "[]"
+
+
 class FullStdout(io.TextIOBase):
     """A stdout on a full device: every write fails."""
 
@@ -684,6 +744,24 @@ class TestReportFormatting:
             format_float(float("nan"))
         with pytest.raises(ValueError):
             format_float(float("inf"))
+
+    def test_17g_is_the_rule_on_finite_non_integral_doubles(self):
+        # the fonts writer's fast path: %.17g wherever format_float would write the same
+        rng = np.random.default_rng(2013)
+        sign = rng.choice([-1.0, 1.0], size=4000)
+        values = np.concatenate([
+            rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64),  # any bits
+            sign * rng.uniform(0.0, 1.0, size=4000),
+            sign * rng.integers(1, 2**52, size=4000).view(np.float64),  # subnormals
+            sign * 1e-300 * rng.uniform(0.5, 2.0, size=4000),
+            sign * (2.0**52 - 0.5 - rng.integers(0, 2**20, size=4000)),  # spacing 0.5 below 2**52
+            sign * rng.uniform(1e15, 2.0**52, size=4000),
+            [np.nextafter(2.0**52, 0.0), -np.nextafter(2.0**52, 0.0), 5e-324, -5e-324],
+        ])
+        values = values[np.isfinite(values)]  # a signalling nan among the bits would warn in trunc
+        values = values[values != np.trunc(values)].tolist()
+        assert len(values) > 25000
+        assert [x for x in values if "%.17g" % x != format_float(x)] == []
 
     def test_render_json_round_trips(self):
         obj = {"a": 1.0, "b": [0.5, 2, True, "s"], "c": {"nested": 1e-300}}

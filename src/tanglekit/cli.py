@@ -219,28 +219,32 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if not (want_tangle3 or want_tangle4 or neg_qubits or kway_pairs or font_qubits):
         raise CliError("no measures requested")
 
-    # (report key, route, computation) in report order; every matrix is 2**(n-1) square
-    stages: list[tuple[str, str, Callable[[], object]]] = []
+    # (report key, route, matrix side, computation) in report order; K >= 3 factors the
+    # 2**(n-2) parity blocks of the 2**(n-1) matrix
+    half = 2 ** (n - 1)
+    stages: list[tuple[str, str, int, Callable[[], object]]] = []
     if want_tangle3:
-        stages.append(("tangle3", "closed_form", partial(three_tangle, state)))
+        stages.append(("tangle3", "closed_form", half, partial(three_tangle, state)))
     if want_tangle4:
-        stages.append(("tangle4", "closed_form", partial(four_tangle, state)))
+        stages.append(("tangle4", "closed_form", half, partial(four_tangle, state)))
         if args.all:
-            stages.append(("four_invariant_abs", "closed_form", lambda: abs(four_invariant(state))))
-    stages += [(f"negativity_q{p}", "closed_form", partial(global_negativity, state, p))
+            stages.append(("four_invariant_abs", "closed_form", half,
+                           lambda: abs(four_invariant(state))))
+    stages += [(f"negativity_q{p}", "closed_form", half, partial(global_negativity, state, p))
                for p in neg_qubits]
-    stages += [(f"kway_q{p}_k{k}", "half_size", partial(kway_negativity, state, p, k))
-               for p, k in sorted(kway_pairs)]
-    stages += [(f"fonts_q{p}", "closed_form", lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
-               for p in font_qubits]
+    for p, k in sorted(kway_pairs):
+        route = ("half_size", half) if k == 2 else ("parity_split", half // 2)
+        stages.append((f"kway_q{p}_k{k}", *route, partial(kway_negativity, state, p, k)))
+    stages += [(f"fonts_q{p}", "closed_form", half,
+                lambda p=p: _fonts_json(enumerate_fonts(state, p), n)) for p in font_qubits]
 
     report: dict = {}
-    for key, route, compute in stages:
+    for key, route, dim, compute in stages:
         began = time.perf_counter()
         report[key] = compute()
         if args.trace:
             ms = round(1000.0 * (time.perf_counter() - began), 3)
-            _diagnose(json.dumps({"stage": key, "route": route, "dim": 2 ** (n - 1), "ms": ms}))
+            _diagnose(json.dumps({"stage": key, "route": route, "dim": dim, "ms": ms}))
 
     _write_report(report)
     if args.trace:

@@ -14,9 +14,16 @@ negativity and the global negativity (a closed form over the minors, by
 Cauchy-Binet) derive from it.  K-way negativities are not font sums.  For a
 pure state the K-way transpose of psi psi^dag is unitarily similar to
 diag(mu, -mu) + z z^dag, with mu the spectrum of one 2**(n-1) Hermitian matrix
-built from qubit p's two rows, so one half-size eigensolve and the secular
-equation of that rank-one update give it; a mixed DensityOperator takes the
-dense transpose and eigensolve.
+H built from qubit p's two rows, and the secular equation of that rank-one
+update gives it.  H selects rest labels at distance K - 1, whose parity
+fixes that of the two labels, so with the labels in parity order mu comes
+from one of three factorisations:
+
+    K = 2         one 2**(n-1) eigensolve of H
+    K odd >= 3    H is block diagonal: one eigensolve of each 2**(n-2) block
+    K even >= 4   H = [[0, G], [G^dag, 0]]: one 2**(n-2) SVD of G
+
+A mixed DensityOperator takes the dense transpose and eigensolve.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import DensityOperator, PureState, _check_finite, _check_qubit
-from .transpose import _kway_selection, _rest_distance, kway_pt
+from .transpose import _kway_selection, _parity_order, _rest_distance, kway_pt
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
 NEG_EIG_TOL = 1e-12
@@ -50,6 +57,20 @@ def hermitian_eigenpairs(m: np.ndarray | DensityOperator) -> tuple[np.ndarray, n
     return np.linalg.eigh(_hermitian(m))
 
 
+def singular_value_decomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, s, vh with m = u diag(s) vh for a square matrix m: s descending, u and vh unitary."""
+    return np.linalg.svd(_square(m))
+
+
+def _square(m: np.ndarray) -> np.ndarray:
+    """m as a complex array, checked to be square and finite."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    _check_finite(m, "matrix")
+    return m
+
+
 def _hermitian(m: np.ndarray | DensityOperator) -> np.ndarray:
     """The matrix of m, for the Hermitian eigensolvers.
 
@@ -59,10 +80,7 @@ def _hermitian(m: np.ndarray | DensityOperator) -> np.ndarray:
     """
     if isinstance(m, DensityOperator):
         return m.matrix
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _check_finite(m, "matrix")
+    m = _square(m)
     defect = np.abs(m - m.conj().T).max()
     if defect > _HERMITIAN_CHECK_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
@@ -90,11 +108,15 @@ def kway_negativity(operand: PureState | DensityOperator, p: int, K: int) -> flo
     """Twice the absolute sum of negative eigenvalues of the K-way transpose.
 
     A DensityOperator takes the dense spectrum of ``kway_pt``.  A PureState, with
-    a, b qubit p's rows and C_K the K-way selection table, takes one 2**(n-1) eigensolve:
+    a, b qubit p's rows and C_K the K-way selection table, takes
 
         H = i (b a^dag - a b^dag) o C_K = V diag(mu) V^dag
         z = [V^dag (a - i b), V^dag (a + i b)] / sqrt 2
         spectrum(kway_pt(psi psi^dag)) = spectrum(diag(mu, -mu) + z z^dag)
+
+    where V and mu come from one 2**(n-1) eigensolve for K = 2, from one
+    eigensolve of each 2**(n-2) parity block for odd K and from one 2**(n-2)
+    SVD for even K >= 4 (see ``_half_size_factors``).
     """
     if isinstance(operand, PureState):
         eigs = _half_size_spectrum(operand, p, K)
@@ -113,13 +135,41 @@ def _half_size_spectrum(state: PureState, p: int, K: int) -> np.ndarray:
     """
     n = state.n_qubits
     _check_qubit(p, n)
-    a, b = _rows(state.amplitudes, n, p)
-    x = np.outer(b, a.conj())
-    mu, v = hermitian_eigenpairs(np.where(_kway_selection(n, K), 1j * (x - x.conj().T), 0))
+    order, distance = _parity_order(n - 1)
+    selected = _kway_selection(n, K, distance)
+    a, b = (row[order] for row in _rows(state.amplitudes, n, p))
+    mu, z = _half_size_factors(a, b, selected, K)
     norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)  # as ``density`` divides
-    z = v.conj().T @ np.stack([a - 1j * b, a + 1j * b], axis=1)
     weights = (z.real**2 + z.imag**2).T.reshape(-1) / (2.0 * norm2)
     return _rank_one_spectrum(np.concatenate([mu, -mu]) / norm2, weights)
+
+
+def _half_size_factors(
+    a: np.ndarray, b: np.ndarray, selected: np.ndarray, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """mu and V^dag [a - i b, a + i b] for H = i (b a^dag - a b^dag) o selected = V diag(mu) V^dag.
+
+    The labels are in parity order (``_parity_order``), so for K >= 3 H
+    keeps only whole 2**(n-2) blocks: V is the direct sum of the two diagonal
+    blocks' eigenvectors for odd K, and for even K, where H = [[0, G], [G^dag, 0]]
+    and G = U diag(s) W^dag, mu = (s, -s) and V = [[U, U], [W, -W]] / sqrt 2.
+    H and its outer product are freed on return, before the secular solve
+    allocates its tables.
+    """
+    x = np.outer(b, a.conj())
+    h = np.where(selected, 1j * (x - x.conj().T), 0)
+    c = np.stack([a - 1j * b, a + 1j * b], axis=1)
+    q = h.shape[0] // 2  # the even labels come first
+    if K == 2:
+        mu, v = hermitian_eigenpairs(h)
+        return mu, v.conj().T @ c
+    if K % 2:
+        (mu_e, v_e), (mu_o, v_o) = hermitian_eigenpairs(h[:q, :q]), hermitian_eigenpairs(h[q:, q:])
+        z = np.concatenate([v_e.conj().T @ c[:q], v_o.conj().T @ c[q:]])
+        return np.concatenate([mu_e, mu_o]), z
+    u, s, wh = singular_value_decomposition(h[:q, q:])
+    even, odd = u.conj().T @ c[:q], wh @ c[q:]
+    return np.concatenate([s, -s]), np.concatenate([even + odd, even - odd]) / np.sqrt(2.0)
 
 
 def _rank_one_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:

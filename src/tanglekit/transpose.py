@@ -33,11 +33,31 @@ def _rest_distance(m: int) -> np.ndarray:
     return table
 
 
-def _kway_selection(n: int, K: int) -> np.ndarray:
-    """Bool (2**(n-1), 2**(n-1)) table of the rest-label pairs the K-way transpose selects."""
+@lru_cache(maxsize=None)
+def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-bit labels with even popcount first, and ``_rest_distance(m)`` in that order.
+
+    popcount(u ^ v) is even exactly when u and v have equal parity, so for
+    m >= 1 each K-way selection with K >= 3 keeps either the two diagonal
+    or the two off-diagonal 2**(m-1) blocks of the reordered table.
+    """
+    distance = _rest_distance(m)
+    order = np.argsort(distance[0] & 1, kind="stable")
+    ordered = distance[np.ix_(order, order)]
+    ordered.setflags(write=False)
+    return order, ordered
+
+
+def _kway_selection(n: int, K: int, distance: np.ndarray | None = None) -> np.ndarray:
+    """Bool (2**(n-1), 2**(n-1)) table of the rest-label pairs the K-way transpose selects.
+
+    distance is the rest distance table in the labels' order, by default
+    ``_rest_distance(n - 1)``.
+    """
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
-    distance = _rest_distance(n - 1)
+    if distance is None:
+        distance = _rest_distance(n - 1)
     return distance <= 1 if K == 2 else distance == K - 1
 
 

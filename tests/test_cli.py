@@ -319,9 +319,15 @@ class TestMeasure:
             # one line per report key, in report order, then the total
             assert [line["stage"] for line in stages] == list(json.loads(plain))
             for line in stages:
-                half_size = line["stage"].startswith("kway_")
-                assert line["route"] == ("half_size" if half_size else "closed_form")
-                assert line["dim"] == 2 ** (n - 1)
+                # K = 2 diagonalizes one 2**(n-1) matrix, K >= 3 its 2**(n-2) parity blocks;
+                # the closed forms read the 2**(n-1) minor matrix
+                if not line["stage"].startswith("kway_"):
+                    route = ("closed_form", 2 ** (n - 1))
+                elif line["stage"].endswith("_k2"):
+                    route = ("half_size", 2 ** (n - 1))
+                else:
+                    route = ("parity_split", 2 ** (n - 2))
+                assert (line["route"], line["dim"]) == route
                 assert line["ms"] >= 0
             assert total["stage"] == "total"
             assert total["ms"] >= sum(line["ms"] for line in stages)

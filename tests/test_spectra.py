@@ -30,7 +30,8 @@ from tanglekit import (
     trace_norm,
     w_state,
 )
-from tanglekit.spectra import NEG_EIG_TOL, _rank_one_spectrum
+from tanglekit.spectra import NEG_EIG_TOL, _rank_one_spectrum, singular_value_decomposition
+from tanglekit.transpose import _kway_selection, _parity_order
 
 INV_SQRT2 = 1 / np.sqrt(2)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -69,7 +70,8 @@ class TestHermitianEigenvalues:
             hermitian_eigenvalues(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [[[np.nan]], [[np.inf, 0], [0, 1]]])
-    @pytest.mark.parametrize("solver", [hermitian_eigenvalues, hermitian_eigenpairs, trace_norm])
+    @pytest.mark.parametrize("solver", [hermitian_eigenvalues, hermitian_eigenpairs, trace_norm,
+                                        singular_value_decomposition])
     def test_rejects_non_finite(self, solver, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a NaN or inf must not reach the arithmetic
@@ -91,6 +93,19 @@ class TestHermitianEigenvalues:
             hermitian_eigenpairs(np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(ValueError, match="square"):
             hermitian_eigenpairs(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("dim", [1, 8, 32])
+    def test_singular_value_decomposition_factors(self, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g[:, -1] = 0.0  # rank-deficient: a zero singular value
+        u, s, vh = singular_value_decomposition(g)
+        assert np.all(np.diff(s) <= 0) and s[-1] < 1e-12
+        for unitary in (u, vh):
+            assert np.abs(unitary.conj().T @ unitary - np.eye(dim)).max() < 1e-13
+        assert np.abs((u * s) @ vh - g).max() < 1e-12
+        with pytest.raises(ValueError, match="square"):
+            singular_value_decomposition(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
     def test_sum_matches_trace(self, dim):
@@ -210,7 +225,32 @@ class TestHalfSizeOracle:
         self.assert_matches(plus_on_first_qubit(9, 4209), (5,), range(2, 10))
 
     def test_ten_qubits(self):
-        self.assert_matches(random_state(10, 4010), (1, 10), (2, 3, 10))
+        # K = 4 takes a generic 256 x 256 SVD; K = 10 pairs each label with its complement
+        self.assert_matches(random_state(10, 4010), (1, 10), (2, 3, 4, 10))
+
+    @pytest.mark.parametrize("state", [ghz(9), w_state(9), random_product_state(9, 4409)],
+                             ids=["ghz", "w", "product"])
+    def test_rank_deficient_blocks(self, state):
+        # the parity blocks of these states have zero and tied eigen- and singular values
+        self.assert_matches(state, (5,), (4, 5))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_parity_split_drops_nothing(self, n):
+        # in parity order every selected pair lies in the blocks the route keeps: the two
+        # diagonal blocks for odd K, the two off-diagonal ones for even K
+        order, distance = _parity_order(n - 1)
+        rest = 2 ** (n - 1)
+        parity = np.array([bin(u).count("1") % 2 for u in order])
+        assert sorted(order) == list(range(rest))
+        assert list(parity) == [0] * (rest // 2) + [1] * (rest // 2)
+        xor = order[:, None] ^ order[None, :]
+        popcount = sum((xor >> bit) & 1 for bit in range(n - 1))
+        np.testing.assert_array_equal(distance, popcount)
+        same_parity = parity[:, None] == parity[None, :]
+        for K in range(3, n + 1):
+            selected = _kway_selection(n, K, distance)
+            assert selected.any()
+            assert not (selected & (same_parity if K % 2 == 0 else ~same_parity)).any()
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_equal_rows_merge_every_pole(self, n):

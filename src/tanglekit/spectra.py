@@ -147,29 +147,33 @@ def _half_size_spectrum(state: PureState, p: int, K: int) -> np.ndarray:
 def _half_size_factors(
     a: np.ndarray, b: np.ndarray, selected: np.ndarray, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """mu and V^dag [a - i b, a + i b] for H = i (b a^dag - a b^dag) o selected = V diag(mu) V^dag.
+    """mu and V^dag [a - i b, a + i b] for H = (Y + Y^dag) o selected = V diag(mu) V^dag.
 
-    The labels are in parity order (``_parity_order``), so for K >= 3 H
-    keeps only whole 2**(n-2) blocks: V is the direct sum of the two diagonal
-    blocks' eigenvectors for odd K, and for even K, where H = [[0, G], [G^dag, 0]]
-    and G = U diag(s) W^dag, mu = (s, -s) and V = [[U, U], [W, -W]] / sqrt 2.
-    H and its outer product are freed on return, before the secular solve
-    allocates its tables.
+    Y = i b a^dag, so H = i (b a^dag - a b^dag) o selected.  The labels are in
+    parity order (``_parity_order``), so for K >= 3 H keeps only whole
+    2**(n-2) blocks, and only those are built.  For odd K each diagonal block
+    is (Y_blk + Y_blk^dag) o selected_blk, Hermitian bit for bit, and V is the
+    direct sum of their eigenvectors.  For even K, H = [[0, G], [G^dag, 0]]
+    with G = (i b_e a_o^dag - i a_e b_o^dag) o selected_eo, and
+    G = U diag(s) W^dag gives mu = (s, -s) and V = [[U, U], [W, -W]] / sqrt 2.
+    The blocks are freed on return, before the secular solve allocates its tables.
     """
-    x = np.outer(b, a.conj())
-    h = np.where(selected, 1j * (x - x.conj().T), 0)
-    c = np.stack([a - 1j * b, a + 1j * b], axis=1)
-    q = h.shape[0] // 2  # the even labels come first
-    if K == 2:
-        mu, v = hermitian_eigenpairs(h)
-        return mu, v.conj().T @ c
-    if K % 2:
-        (mu_e, v_e), (mu_o, v_o) = hermitian_eigenpairs(h[:q, :q]), hermitian_eigenpairs(h[q:, q:])
-        z = np.concatenate([v_e.conj().T @ c[:q], v_o.conj().T @ c[q:]])
-        return np.concatenate([mu_e, mu_o]), z
-    u, s, wh = singular_value_decomposition(h[:q, q:])
-    even, odd = u.conj().T @ c[:q], wh @ c[q:]
-    return np.concatenate([s, -s]), np.concatenate([even + odd, even - odd]) / np.sqrt(2.0)
+    ib, c = 1j * b, np.stack([a - 1j * b, a + 1j * b], axis=1)
+    e, o = slice(None, a.size // 2), slice(a.size // 2, None)  # the even labels come first
+    if K > 2 and K % 2 == 0:
+        g = (np.outer(ib[e], a[o].conj()) - np.outer(1j * a[e], b[o].conj())) * selected[e, o]
+        u, s, wh = singular_value_decomposition(g)
+        even, odd = (c[e].conj().T @ u).conj().T, wh @ c[o]  # u^dag c_e, no copy of u^dag
+        return np.concatenate([s, -s]), np.concatenate([even + odd, even - odd]) / np.sqrt(2.0)
+    mu, z = [], []
+    for block in [slice(None)] if K == 2 else [e, o]:
+        y = np.outer(ib[block], a[block].conj())
+        y += y.conj().T
+        y *= selected[block, block]
+        values, v = hermitian_eigenpairs(y)
+        mu.append(values)
+        z.append((c[block].conj().T @ v).conj().T)
+    return np.concatenate(mu), np.concatenate(z)
 
 
 def _rank_one_spectrum(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -196,53 +200,73 @@ def _secular_roots(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     d ascends strictly and w > 0, so the root right of d_k lies in
     (d_k, d_k+1), or for the last pole in (d_k, d_k + sum w].  As in LAPACK
-    dlaed4, each root is sought as its offset from the nearer end pole with the
-    "middle way" rational step (Li, LAPACK Working Note 89), a Newton step
-    where that points the wrong way and a bisection where a step leaves the
-    sign bracket, until a step is at most 2 ulp of lam (or of the offset).
+    dlaed4, each root is sought as its offset from the end pole nearer to it
+    (by the sign of f at the middle), and starts at dlaed4's guess: the root
+    of c + w_k / (d_k - lam) + w_k+1 / (d_k+1 - lam), c being f at the middle
+    less those two terms, or at the middle where that guess is not inside
+    the bracket.  Each step takes the "middle way" rational step (Li, LAPACK
+    Working Note 89), a Newton step where that points the wrong way and a
+    bisection where a step leaves the sign bracket, until a step is at most
+    2 ulp of lam (or of the offset).  With r = 1 / (d - lam), f and its
+    slope are matrix-vector products, and ``far_w``, w on each interval's far
+    end pole and the poles beyond it, gives the slope's far part.  The origin
+    side's part is the rest, exact to rounding as the root nears its origin.
     """
-    k = np.flatnonzero(d < -NEG_EIG_TOL)
+    k = np.flatnonzero(d < -NEG_EIG_TOL)  # a prefix of d, which ascends
     # the last root lies in (d_max, d_max + sum w]: a zero-weight end beyond that closes it
     ends = np.append(d[1:], d[-1] + 2.0 * w.sum())[k]
+    w_k, w_end = w[k], np.append(w[1:], 0.0)[k]
     middle = (d[k] + ends) / 2.0
-    # f > 0 at the middle puts the root in the left half, nearer d_k
-    nearer_left = 1.0 + (w / (d[None, :] - middle[:, None])).sum(axis=1) >= 0
-    origin = np.where(nearer_left | (k == d.size - 1), d[k], ends)
-    offset = d[None, :] - origin[:, None]  # d_i - origin, exact near the origin
-    left = np.arange(d.size) <= k[:, None]  # the poles left of each interval
-    lower, upper = d[k] - origin, ends - origin
-    tau, lo, hi = middle - origin, lower.copy(), upper.copy()
-    active = np.arange(k.size)
+    table = np.empty((k.size, d.size))  # r's rows, reused
     with np.errstate(all="ignore"):  # a pole hit in the last ulp gives inf; its bisection follows
+        f = 1.0 + np.divide(1.0, np.subtract(d, middle[:, None], out=table), out=table) @ w
+        # f > 0 at the middle puts the root in the left half, nearer d_k
+        nearer_left = (f >= 0) | (k == d.size - 1)
+        origin = np.where(nearer_left, d[k], ends)
+        lower, upper = d[k] - origin, ends - origin
+        c = f - w_k / (d[k] - middle) - w_end / (ends - middle)
+        far = np.where(nearer_left, upper, lower)  # the other end, from the origin
+        A, B = c * far + w_k + w_end, np.where(nearer_left, w_k, w_end) * far
+        guess = _minus_root(A, B, c)  # a NaN or infinite guess fails a comparison
+        tau = np.where((lower < guess) & (guess < upper), guess, middle - origin)
+        offset = d[None, :] - origin[:, None]  # d_i - origin, exact near the origin
+        far_w = np.zeros_like(offset)  # np.tri marks the poles up to d_k in row k
+        np.copyto(far_w, w, where=np.tri(*offset.shape, dtype=bool) != nearer_left[:, None])
+        lo, hi = lower.copy(), upper.copy()
+        active = np.arange(k.size)
         for _ in range(_SECULAR_MAX_STEPS):
-            t, e = tau[active], left[active]
-            delta = offset[active] - t[:, None]  # d_i - lam
-            terms = w / delta
-            slopes = terms / delta
-            f = 1.0 + terms.sum(axis=1)
-            dpsi = np.where(e, slopes, 0.0).sum(axis=1)
-            dphi = np.where(e, 0.0, slopes).sum(axis=1)
-            lo[active] = np.where(f < 0, t, lo[active])
-            hi[active] = np.where(f > 0, t, hi[active])
-            dk, dk1 = lower[active] - t, upper[active] - t
-            A = (dk + dk1) * f - dk * dk1 * (dpsi + dphi)
-            B = dk * dk1 * f
-            C = f - dk * dpsi - dk1 * dphi
-            disc = np.sqrt(np.abs(A * A - 4.0 * B * C))
-            # the root of C eta^2 - A eta + B inside (dk, dk1), without cancellation
-            eta = np.where(A <= 0, (A - disc) / (2.0 * C), 2.0 * B / (A + disc))
-            eta = np.where(C == 0, B / A, eta)
-            eta = np.where(f * eta >= 0, -f / (dpsi + dphi), eta)  # the wrong way: Newton
+            rows = slice(None) if active.size == k.size else active  # no copy while all are
+            t = tau[rows]
+            r = np.subtract(offset[rows], t[:, None], out=table[: t.size])
+            np.divide(1.0, r, out=r)  # 1 / (d_i - lam)
+            f = 1.0 + r @ w
+            r *= r
+            slope, beyond = r @ w, np.einsum("ij,ij->i", r, far_w[rows])
+            lo[rows] = np.where(f < 0, t, lo[rows])
+            hi[rows] = np.where(f > 0, t, hi[rows])
+            dn, df = -t, far[rows] - t  # d - lam at the origin and at the far end
+            A = (dn + df) * f - dn * df * slope
+            B = dn * df * f
+            C = f - dn * (slope - beyond) - df * beyond
+            eta = np.where(C == 0, B / A, _minus_root(A, B, C))
+            eta = np.where(f * eta >= 0, -f / slope, eta)  # the wrong way: Newton
             step = t + eta
-            ulp2 = 2.0 * _EPS * np.maximum(np.abs(origin[active] + t), np.abs(t))
+            ulp2 = 2.0 * _EPS * np.maximum(np.abs(origin[rows] + t), np.abs(t))
             close = np.abs(eta) <= ulp2
-            inside = close | (lo[active] < step) & (step < hi[active])
-            step = np.where(inside, step, (lo[active] + hi[active]) / 2.0)
-            tau[active] = step
-            active = active[~close & (np.abs(step - t) > ulp2)]
+            inside = close | (lo[rows] < step) & (step < hi[rows])
+            step = np.where(inside, step, (lo[rows] + hi[rows]) / 2.0)
+            moving = ~close & (np.abs(step - t) > ulp2)
+            tau[rows] = step
+            active = active[moving]
             if active.size == 0:
                 break
     return origin + tau
+
+
+def _minus_root(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The root (A - sqrt(A^2 - 4 B C)) / 2C of C x^2 - A x + B = 0, without cancellation."""
+    disc = np.sqrt(np.abs(A * A - 4.0 * B * C))
+    return np.where(A <= 0, (A - disc) / (2.0 * C), 2.0 * B / (A + disc))
 
 
 def font_minors(state: PureState, p: int) -> np.ndarray:
@@ -352,7 +376,7 @@ def concurrence_2q(rho: DensityOperator) -> float:
     """
     if rho.n_qubits != 2:
         raise ValueError(f"requires a 4x4 density operator, got n = {rho.n_qubits}")
-    probs, vecs = np.linalg.eigh(rho.matrix)
+    probs, vecs = hermitian_eigenpairs(rho)
     if probs.min() < -1e-9:
         raise ValueError(f"density operator is not PSD: min eigenvalue {probs.min():.3e}")
     keep = probs > 1e-12
@@ -360,7 +384,7 @@ def concurrence_2q(rho: DensityOperator) -> float:
     vecs = vecs[:, keep]
     root = np.sqrt(probs)
     a = (root[:, None] * (vecs.conj().T @ _SIGMA_YY @ vecs.conj())) * root[None, :]
-    lams = np.sort(np.linalg.svd(a, compute_uv=False))[::-1]
+    lams = singular_value_decomposition(a)[1]
     lams = np.concatenate([lams, np.zeros(4 - lams.size)])
     c = lams[0] - lams[1] - lams[2] - lams[3]
     return float(min(max(c, 0.0), 1.0))

@@ -30,7 +30,13 @@ from tanglekit import (
     trace_norm,
     w_state,
 )
-from tanglekit.spectra import NEG_EIG_TOL, _rank_one_spectrum, singular_value_decomposition
+from tanglekit import spectra
+from tanglekit.spectra import (
+    NEG_EIG_TOL,
+    _rank_one_spectrum,
+    _secular_roots,
+    singular_value_decomposition,
+)
 from tanglekit.transpose import _kway_selection, _parity_order
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -260,8 +266,49 @@ class TestHalfSizeOracle:
         assert [kway_negativity(state, 1, K) for K in range(2, n + 1)] == [0.0] * (n - 1)
 
 
+class TestHalfSizeBlocks:
+    """What each factorisation reads, against the blocks of the masked i (x - x^dag) o C_K."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_inputs_are_blocks_of_h(self, n, monkeypatch):
+        captured = []
+
+        def capture(solver):
+            def wrapped(m):
+                captured.append((solver.__name__, m))
+                return solver(m)
+            return wrapped
+
+        for name in ("hermitian_eigenpairs", "singular_value_decomposition"):
+            monkeypatch.setattr(spectra, name, capture(getattr(spectra, name)))
+        state = random_state(n, 4500 + n)
+        order, distance = _parity_order(n - 1)
+        q = 2 ** (n - 2)
+        for p in (1, n):
+            rows = state.amplitudes.reshape(2 ** (p - 1), 2, 2 ** (n - p))
+            a, b = rows[:, 0].reshape(-1)[order], rows[:, 1].reshape(-1)[order]
+            x = np.outer(b, a.conj())
+            for K in range(2, n + 1):
+                h = np.where(_kway_selection(n, K, distance), 1j * (x - x.conj().T), 0)
+                if K == 2:
+                    expected = [("hermitian_eigenpairs", h)]
+                elif K % 2:
+                    expected = [("hermitian_eigenpairs", blk) for blk in (h[:q, :q], h[q:, q:])]
+                else:
+                    expected = [("singular_value_decomposition", h[:q, q:])]
+                captured.clear()
+                kway_negativity(state, p, K)
+                assert [name for name, _ in captured] == [name for name, _ in expected]
+                for (name, m), (_, block) in zip(captured, expected):
+                    # the dims measure --trace reports: 2**(n-1) for K = 2, 2**(n-2) above
+                    assert m.shape == block.shape == ((2 * q, 2 * q) if K == 2 else (q, q))
+                    assert np.abs(m - block).max() <= 1e-15 * np.abs(h).max()
+                    if name == "hermitian_eigenpairs":
+                        assert np.array_equal(m, m.conj().T)
+
+
 def rank_one_case(name):
-    """Poles d and weights w, unit total weight unless noted, 48 poles each."""
+    """Poles d and weights w, unit total weight and 48 poles unless noted."""
     rng = np.random.default_rng(sum(map(ord, name)))
     d = rng.standard_normal(48) / 4
     w = rng.random(48)
@@ -277,13 +324,23 @@ def rank_one_case(name):
         return d, w
     elif name == "clusters":  # poles 1e-15 apart
         d = np.repeat(d[:12], 4) + np.tile(np.arange(4) * 1e-15, 12)
+    elif name == "wide_range":  # |d| log-spaced from 1e-13 to 1, both signs
+        d = rng.permutation(np.concatenate([np.logspace(-13, 0, 24), -np.logspace(-13, 0, 24)]))
+    elif name == "dominant_weight":  # one weight 1e8 times the others
+        w = np.ones(48)
+        w[17] = 1e8
+    elif name == "one_pole":  # its root d + 1 is negative
+        d, w = -1.0 - np.abs(d[:1]), w[:1]
+    elif name == "two_poles":
+        d, w = -0.5 - np.abs(d[:2]), w[:2]
     return d, w / w.sum()
 
 
 class TestRankOneSpectrum:
     # the secular solve against a dense eigensolve of diag(d) + z z^dag
     @pytest.mark.parametrize(
-        "name", ["random", "ties", "zero_weights", "tiny_weights", "negative_only", "clusters"]
+        "name", ["random", "ties", "zero_weights", "tiny_weights", "negative_only", "clusters",
+                 "wide_range", "dominant_weight", "one_pole", "two_poles"]
     )
     def test_negative_eigenvalues_match_dense(self, name):
         d, w = rank_one_case(name)
@@ -294,6 +351,20 @@ class TestRankOneSpectrum:
         theirs = dense[dense < -NEG_EIG_TOL]
         assert ours.size == theirs.size
         assert np.abs(ours - theirs).max() < 1e-14
+
+    # distinct poles with weights far above tolerance, so nothing deflates or merges
+    @pytest.mark.parametrize("name", ["random", "negative_only", "wide_range", "dominant_weight",
+                                      "one_pole", "two_poles"])
+    def test_roots_lie_strictly_inside_their_brackets(self, name):
+        d, w = rank_one_case(name)
+        order = np.argsort(d)
+        d, w = d[order], w[order]
+        k = np.flatnonzero(d < -NEG_EIG_TOL)
+        roots = _secular_roots(d, w)
+        assert roots.size == k.size and np.all(d[k] < roots)
+        interior = k < d.size - 1
+        assert np.all(roots[interior] < d[k[interior] + 1])
+        assert np.all(roots[~interior] <= d[-1] + w.sum())
 
 
 class TestFontMinors:

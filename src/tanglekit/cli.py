@@ -39,7 +39,7 @@ from .invariants import (
     product_identity_residual,
     three_tangle,
 )
-from .reporting import Rendered, format_float, render_json
+from .reporting import Rendered, _bracketed, format_float, render_json
 from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .states import (
     PureState,
@@ -65,6 +65,8 @@ EXIT_INTERNAL = 5
 CHECK_TOL = 1e-8
 
 _GEN_KINDS = ("ghz", "w", "cluster4", "product", "random")
+# rows of a fonts report formatted by one % call
+_FONT_BLOCK_ROWS = 1024
 
 
 class CliError(Exception):
@@ -123,16 +125,18 @@ def _load_state(path: str) -> PureState:
 
 def _write_report(report: dict, path: str | None = None) -> None:
     """Write a report as one JSON line to stdout or to path; a failed write is an I/O error."""
-    text = render_json(report) + "\n"
+    text = render_json(report)  # the newline is written on its own, not copied onto the text
     try:
         if path is None:
             if sys.stdout is None:  # what Python makes of an fd 1 closed at start-up
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
+            sys.stdout.write("\n")
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
+                handle.write("\n")
     except OSError as exc:
         where = "stdout" if path is None else path
         # stdout may keep the bytes, and its flush at exit would fail again
@@ -169,20 +173,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _fonts_json(fonts: Fonts, n: int) -> Rendered:
-    """The fonts as a JSON list of objects, one row of the Fonts columns each."""
+    """The fonts as a JSON list of objects, one row of the Fonts columns each.
+
+    Rows go through one % call per block of _FONT_BLOCK_ROWS, so only one
+    block's values are Python objects at a time.
+    """
     floats = (fonts.det.real, fonts.det.imag, fonts.lambda_minus)
     # %.17g is format_float on finite non-integral doubles; rows with any other value take the rule
     ruled = np.logical_or.reduce([(c == np.trunc(c)) | ~np.isfinite(c) for c in floats])
-    label = [format(x, f"0{n}b") for x in range(2**n)]
-    rows = zip(map(label.__getitem__, fonts.i.tolist()), map(label.__getitem__, fonts.j.tolist()),
-               fonts.k.tolist(), *(c.tolist() for c in floats),
-               ("true" if negligible else "false" for negligible in fonts.negligible.tolist()))
+    label = np.array([format(x, f"0{n}b") for x in range(2**n)], dtype=object)
+    columns = (label[fonts.i], label[fonts.j], fonts.k, *floats,
+               np.take(np.array(["false", "true"], dtype=object), fonts.negligible))
     row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %.17g, '
            '"det_im": %.17g, "lambda_minus": %.17g, "negligible": %s}')
     ruled_row = row.replace("%.17g", "%s")
-    return Rendered("[" + ", ".join(
-        ruled_row % (*v[:3], *map(format_float, v[3:6]), v[6]) if r else row % v
-        for v, r in zip(rows, ruled.tolist())) + "]")
+    full = ", ".join([row] * _FONT_BLOCK_ROWS)
+    parts = []
+    for start in range(0, len(fonts), _FONT_BLOCK_ROWS):
+        block = slice(start, start + _FONT_BLOCK_ROWS)
+        marks = ruled[block]
+        values = [None] * (7 * marks.size)  # row r's seven values at 7 r .. 7 r + 6
+        for offset, column in enumerate(columns):
+            values[offset::7] = column[block].tolist()
+        template = full
+        if marks.size < _FONT_BLOCK_ROWS or marks.any():
+            for r in np.flatnonzero(marks).tolist():
+                values[7 * r + 3 : 7 * r + 6] = map(format_float, values[7 * r + 3 : 7 * r + 6])
+            template = ", ".join([ruled_row if mark else row for mark in marks.tolist()])
+        parts += (", ", template % tuple(values))
+    text = _bracketed("[", parts, "]")
+    parts.clear()  # the blocks go before Rendered copies the text
+    return Rendered(text)
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -233,7 +254,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     stages += [(f"negativity_q{p}", "closed_form", half, partial(global_negativity, state, p))
                for p in neg_qubits]
     for p, k in sorted(kway_pairs):
-        route = ("half_size", half) if k == 2 else ("parity_split", half // 2)
+        if k > 2:
+            route = ("parity_split", half // 2)
+        else:  # at n = 2 the 2-way transpose is the global one
+            route = ("closed_form" if n == 2 else "half_size", half)
         stages.append((f"kway_q{p}_k{k}", *route, partial(kway_negativity, state, p, k)))
     stages += [(f"fonts_q{p}", "closed_form", half,
                 lambda p=p: _fonts_json(enumerate_fonts(state, p), n)) for p in font_qubits]

@@ -37,8 +37,20 @@ def render_json(value) -> str:
     if isinstance(value, str):
         return value if isinstance(value, Rendered) else encode_basestring_ascii(value)
     if isinstance(value, dict):
-        items = (f"{encode_basestring_ascii(str(k))}: {render_json(v)}" for k, v in value.items())
-        return "{" + ", ".join(items) + "}"
+        pieces = [piece for k, v in value.items()
+                  for piece in (", ", encode_basestring_ascii(str(k)), ": ", render_json(v))]
+        return _bracketed("{", pieces, "}")
     if isinstance(value, list):
-        return "[" + ", ".join(render_json(v) for v in value) + "]"
+        return _bracketed("[", [piece for v in value for piece in (", ", render_json(v))], "]")
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _bracketed(opening: str, pieces: list[str], closing: str) -> str:
+    """opening + pieces + closing in one join, the items' text copied once.
+
+    pieces leads each item with its ", " separator, and opening takes the
+    first one's place.
+    """
+    pieces[:1] = [opening]
+    pieces.append(closing)
+    return "".join(pieces)

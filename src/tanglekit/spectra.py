@@ -39,7 +39,8 @@ NEG_EIG_TOL = 1e-12
 FONT_ZERO_TOL = 1e-14
 _HERMITIAN_CHECK_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
-# a bracket halved this often is below one ulp of any root
+# a bracket halved this often is below one ulp of any root; a root still moving after
+# this many steps, which may be rational steps, is an error
 _SECULAR_MAX_STEPS = 64
 
 _SIGMA_YY = np.array(
@@ -116,9 +117,12 @@ def kway_negativity(operand: PureState | DensityOperator, p: int, K: int) -> flo
 
     where V and mu come from one 2**(n-1) eigensolve for K = 2, from one
     eigensolve of each 2**(n-2) parity block for odd K and from one 2**(n-2)
-    SVD for even K >= 4 (see ``_half_size_factors``).
+    SVD for even K >= 4 (see ``_half_size_factors``).  At n = 2 the 2-way
+    transpose is the global one, so a PureState takes ``global_negativity``.
     """
     if isinstance(operand, PureState):
+        if operand.n_qubits == K == 2:
+            return global_negativity(operand, p)
         eigs = _half_size_spectrum(operand, p, K)
     else:
         eigs = hermitian_eigenvalues(kway_pt(operand, p, K))
@@ -207,10 +211,12 @@ def _secular_roots(d: np.ndarray, w: np.ndarray) -> np.ndarray:
     the bracket.  Each step takes the "middle way" rational step (Li, LAPACK
     Working Note 89), a Newton step where that points the wrong way and a
     bisection where a step leaves the sign bracket, until a step is at most
-    2 ulp of lam (or of the offset).  With r = 1 / (d - lam), f and its
-    slope are matrix-vector products, and ``far_w``, w on each interval's far
-    end pole and the poles beyond it, gives the slope's far part.  The origin
-    side's part is the rest, exact to rounding as the root nears its origin.
+    2 ulp of lam (or of the offset).  A root still moving after
+    _SECULAR_MAX_STEPS steps raises RuntimeError.  With r = 1 / (d - lam),
+    f and its slope are matrix-vector products, and ``far_w``, w on each
+    interval's far end pole and the poles beyond it, gives the slope's far
+    part.  The origin side's part is the rest, exact to rounding as the root
+    nears its origin.
     """
     k = np.flatnonzero(d < -NEG_EIG_TOL)  # a prefix of d, which ascends
     # the last root lies in (d_max, d_max + sum w]: a zero-weight end beyond that closes it
@@ -260,6 +266,9 @@ def _secular_roots(d: np.ndarray, w: np.ndarray) -> np.ndarray:
             active = active[moving]
             if active.size == 0:
                 break
+        else:
+            raise RuntimeError(f"secular solve: {active.size} of {k.size} roots still moving "
+                               f"after {_SECULAR_MAX_STEPS} steps")
     return origin + tau
 
 

@@ -16,6 +16,7 @@ from tanglekit import (
     random_state,
     state_from_payload,
 )
+from tanglekit import cli
 from tanglekit.cli import _fonts_json, main
 from tanglekit.reporting import format_float, render_json
 
@@ -304,7 +305,7 @@ class TestMeasure:
         assert code == 0
         assert built == []
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_trace_leaves_stdout_alone(self, n, tmp_path, capsys):
         path = write_state(tmp_path, "r.json", "random", str(n), "--seed", "2", capsys=capsys)
         # --all has no fonts stage
@@ -320,8 +321,8 @@ class TestMeasure:
             assert [line["stage"] for line in stages] == list(json.loads(plain))
             for line in stages:
                 # K = 2 diagonalizes one 2**(n-1) matrix, K >= 3 its 2**(n-2) parity blocks;
-                # the closed forms read the 2**(n-1) minor matrix
-                if not line["stage"].startswith("kway_"):
+                # the closed forms read the 2**(n-1) minor matrix, as K = 2 does at n = 2
+                if not line["stage"].startswith("kway_") or n == 2:
                     route = ("closed_form", 2 ** (n - 1))
                 elif line["stage"].endswith("_k2"):
                     route = ("half_size", 2 ** (n - 1))
@@ -344,6 +345,18 @@ class TestMeasure:
         for bad in ("1", "1,9", "0,2", "x,2", "1,y"):
             code, _, _ = run_cli(["measure", str(path), "--kway", bad], capsys)
             assert code == 2, bad
+
+    def test_two_qubit_kway_is_the_global_negativity(self, tmp_path, capsys):
+        # at n = 2 the 2-way transpose is the global one; the eigensolve route wrote
+        # 0.67962289522005326 for kway_q1_k2 on this state
+        path = write_state(tmp_path, "r2.json", "random", "2", "--seed", "3", capsys=capsys)
+        argv = ["measure", str(path), "--negativity", "1", "--negativity", "2",
+                "--kway", "1,2", "--kway", "2,2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        value = "0.67962289522005337"
+        keys = ("negativity_q1", "negativity_q2", "kway_q1_k2", "kway_q2_k2")
+        assert out == "{" + ", ".join(f'"{key}": {value}' for key in keys) + "}\n"
 
     def test_repeated_run_is_byte_identical(self, tmp_path, capsys):
         path = write_state(tmp_path, "r3.json", "random", "3", "--seed", "9", capsys=capsys)
@@ -520,6 +533,19 @@ class TestFontsReport:
     @pytest.mark.parametrize("kind, n, qubits", FONT_CASES,
                              ids=[f"{kind}{n}" for kind, n, _ in FONT_CASES])
     def test_matches_rendered_records(self, kind, n, qubits, tmp_path, capsys):
+        self.assert_matches_rendered_records(kind, n, qubits, tmp_path, capsys)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("kind", ["random", "product", "ghz", "w"])
+    def test_matches_rendered_records_in_small_blocks(self, kind, rows, tmp_path, capsys,
+                                                      monkeypatch):
+        # 28 fonts at n = 4 fill their last block of 2 or 7; 120 at n = 5 leave one row over
+        monkeypatch.setattr(cli, "_FONT_BLOCK_ROWS", rows)
+        for n in (4, 5):
+            self.assert_matches_rendered_records(kind, n, range(1, n + 1), tmp_path, capsys)
+
+    @staticmethod
+    def assert_matches_rendered_records(kind, n, qubits, tmp_path, capsys):
         path = write_state(tmp_path, "s.json", kind, str(n), capsys=capsys)
         state = state_from_payload(json.loads(path.read_text()))
         for p in qubits:
@@ -584,6 +610,28 @@ class TestFontsWriter:
         with pytest.raises(ValueError) as writer:
             _fonts_json(hand_built_fonts(*columns), 3)
         assert str(writer.value) == str(rule.value)
+
+    def test_ruled_rows_at_block_edges(self):
+        # three full blocks and a short one; rows the rule writes open and close a block
+        block = cli._FONT_BLOCK_ROWS
+        values = np.random.default_rng(16).uniform(-1.0, 1.0, size=(3, 3 * block + 5))
+        for r, ruled in zip([0, block - 1, block, 2 * block - 1, 3 * block, 3 * block + 4],
+                            [0.0, -0.0, 3.0, -(2.0**52), 1e300, -1.0]):
+            values[r % 3, r] = ruled
+        fonts = hand_built_fonts(*values)
+        assert _fonts_json(fonts, 3) == render_json(font_records(fonts, 3))
+
+    def test_non_finite_in_a_later_block_leaves_stdout_empty(self, tmp_path, capsys,
+                                                             monkeypatch):
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        values = np.full((3, 2 * cli._FONT_BLOCK_ROWS + 3), 0.25)
+        values[1, cli._FONT_BLOCK_ROWS + 1] = float("nan")
+        monkeypatch.setattr(cli, "enumerate_fonts", lambda state, p: hand_built_fonts(*values))
+        with pytest.raises(ValueError) as rule:
+            format_float(float("nan"))
+        code, out, err = run_cli(["measure", str(path), "--fonts", "1"], capsys)
+        assert (code, out) == (5, "")
+        assert err == f"tanglekit: internal error: ValueError: {rule.value}\n"
 
     def test_one_qubit_has_no_fonts(self):
         assert _fonts_json(enumerate_fonts(random_state(1, 0), 1), 1) == "[]"
@@ -736,6 +784,14 @@ class TestInternalError:
         assert err == "tanglekit: internal error: RuntimeError: three-tangle forms disagree\n"
         assert "Traceback" not in err
 
+    def test_secular_solve_past_its_step_cap_exits_five(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "r5.json", "random", "5", capsys=capsys)
+        monkeypatch.setattr("tanglekit.spectra._SECULAR_MAX_STEPS", 1)
+        code, out, err = run_cli(["measure", str(path), "--kway", "1,3"], capsys)
+        assert (code, out) == (5, "")
+        assert err.startswith("tanglekit: internal error: RuntimeError: secular solve: ")
+        assert err.endswith(" roots still moving after 1 steps\n") and err.count("\n") == 1
+
 
 class TestReportFormatting:
     def test_float_17_significant_digits(self):
@@ -770,8 +826,9 @@ class TestReportFormatting:
         assert [x for x in values if "%.17g" % x != format_float(x)] == []
 
     def test_render_json_round_trips(self):
-        obj = {"a": 1.0, "b": [0.5, 2, True, "s"], "c": {"nested": 1e-300}}
+        obj = {"a": 1.0, "b": [0.5, 2, True, "s"], "c": {"nested": 1e-300}, "d": {}, "e": []}
         assert json.loads(render_json(obj)) == obj
+        assert (render_json({}), render_json([])) == ("{}", "[]")
 
     def test_strings_escaped_as_json_dumps(self):
         obj = {'quote " back \\ tab \t': "caf\u00e9 \u2028 \U0001f600 \x00"}

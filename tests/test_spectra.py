@@ -182,6 +182,13 @@ class TestKWayNegativity:
         for operand in (w_state(3), density(w_state(3))):
             assert kway_negativity(operand, 1, 3) == 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_qubits_take_the_global_closed_form(self, seed):
+        # at n = 2 the 2-way transpose is the global one: the same value, bit for bit
+        for state in (random_state(2, seed), random_product_state(2, seed), ghz(2), w_state(2)):
+            for p in (1, 2):
+                assert kway_negativity(state, p, 2) == global_negativity(state, p)
+
     def test_out_of_range(self):
         for operand in (ghz(3), density(ghz(3))):
             with pytest.raises(ValueError):
@@ -351,6 +358,13 @@ class TestRankOneSpectrum:
         theirs = dense[dense < -NEG_EIG_TOL]
         assert ours.size == theirs.size
         assert np.abs(ours - theirs).max() < 1e-14
+
+    def test_root_still_moving_at_the_step_cap_is_an_error(self, monkeypatch):
+        d, w = rank_one_case("random")
+        order = np.argsort(d)
+        monkeypatch.setattr(spectra, "_SECULAR_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"roots still moving after 1 steps"):
+            _secular_roots(d[order], w[order])
 
     # distinct poles with weights far above tolerance, so nothing deflates or merges
     @pytest.mark.parametrize("name", ["random", "negative_only", "wide_range", "dominant_weight",

@@ -51,6 +51,7 @@ from .states import (
     random_state,
     state_from_payload,
     state_to_payload,
+    su2_rotation,
     w_state,
 )
 from .transpose import decomposition_residual
@@ -187,7 +188,6 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
     row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %.17g, '
            '"det_im": %.17g, "lambda_minus": %.17g, "negligible": %s}')
     ruled_row = row.replace("%.17g", "%s")
-    full = ", ".join([row] * _FONT_BLOCK_ROWS)
     parts = []
     for start in range(0, len(fonts), _FONT_BLOCK_ROWS):
         block = slice(start, start + _FONT_BLOCK_ROWS)
@@ -195,11 +195,9 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
         values = [None] * (7 * marks.size)  # row r's seven values at 7 r .. 7 r + 6
         for offset, column in enumerate(columns):
             values[offset::7] = column[block].tolist()
-        template = full
-        if marks.size < _FONT_BLOCK_ROWS or marks.any():
-            for r in np.flatnonzero(marks).tolist():
-                values[7 * r + 3 : 7 * r + 6] = map(format_float, values[7 * r + 3 : 7 * r + 6])
-            template = ", ".join([ruled_row if mark else row for mark in marks.tolist()])
+        for r in np.flatnonzero(marks).tolist():
+            values[7 * r + 3 : 7 * r + 6] = map(format_float, values[7 * r + 3 : 7 * r + 6])
+        template = ", ".join([ruled_row if mark else row for mark in marks.tolist()])
         parts += (", ", template % tuple(values))
     text = _bracketed("[", parts, "]")
     parts.clear()  # the blocks go before Rendered copies the text
@@ -287,23 +285,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not (args.decomposition or args.product_identity or args.covariance or args.lu_sweep):
         raise CliError("no checks requested")
 
-    report: dict = {}
-    residuals: list[tuple[str, float]] = []
-
-    if args.decomposition:
-        if n < 2:
-            raise CliError("--decomposition requires at least 2 qubits")
-        rho = density(state)
-        value = max(decomposition_residual(rho, p) for p in range(1, n + 1))
-        report["decomposition"] = value
-        residuals.append(("decomposition", value))
-
-    if args.product_identity:
-        if n != 3:
-            raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
-        report["product_identity"] = value = product_identity_residual(state)
-        residuals.append(("product_identity", value))
-
+    # every flag is read and checked before the first computation
+    if args.decomposition and n < 2:
+        raise CliError("--decomposition requires at least 2 qubits")
+    if args.product_identity and n != 3:
+        raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
     if args.covariance:
         parts = args.covariance.split(",")
         if len(parts) != 3:
@@ -320,19 +306,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         qubit = _parse_qubit(parts[0], n)
         if n == 3 and qubit != 2:
             raise CliError("three-qubit covariance relations are stated for qubit B")
-        try:  # state and qubit are checked, so a ValueError rejects the parameter
-            if n == 4:
-                checks = covariance_check_4(state, qubit, param)
-            else:
-                checks = covariance_check_3(state, param)
+        try:
+            su2_rotation(param)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        report["covariance"] = [
-            {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
-            for c in checks
-        ]
-        residuals.extend((f"covariance:{c.relation}", c.residual) for c in checks)
-
     if args.lu_sweep:
         if n not in (3, 4):
             raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
@@ -343,6 +320,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
             trials, seed = _natural(parts[0]), _natural(parts[1])
         except argparse.ArgumentTypeError:
             raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED") from None
+
+    report: dict = {}
+    residuals: list[tuple[str, float]] = []
+    if args.decomposition:
+        rho = density(state)
+        value = max(decomposition_residual(rho, p) for p in range(1, n + 1))
+        report["decomposition"] = value
+        residuals.append(("decomposition", value))
+    if args.product_identity:
+        report["product_identity"] = value = product_identity_residual(state)
+        residuals.append(("product_identity", value))
+    if args.covariance:
+        if n == 4:
+            checks = covariance_check_4(state, qubit, param)
+        else:
+            checks = covariance_check_3(state, param)
+        report["covariance"] = [
+            {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
+            for c in checks
+        ]
+        residuals.extend((f"covariance:{c.relation}", c.residual) for c in checks)
+    if args.lu_sweep:
         value = lu_invariance_sweep(state, trials, seed)
         report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
         residuals.append(("lu_sweep", value))

@@ -48,12 +48,12 @@ _SIGMA_YY = np.array(
 )
 
 
-def hermitian_eigenvalues(m: np.ndarray | DensityOperator) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending."""
     return np.linalg.eigvalsh(_hermitian(m))
 
 
-def hermitian_eigenpairs(m: np.ndarray | DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigenpairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenvalues of a Hermitian matrix, ascending, and its eigenvectors as columns."""
     return np.linalg.eigh(_hermitian(m))
 
@@ -72,15 +72,8 @@ def _square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _hermitian(m: np.ndarray | DensityOperator) -> np.ndarray:
-    """The matrix of m, for the Hermitian eigensolvers.
-
-    A raw array is checked to be square, finite and Hermitian; a
-    DensityOperator is read-only and was checked to the stricter
-    HERMITIAN_TOL when it was built.
-    """
-    if isinstance(m, DensityOperator):
-        return m.matrix
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """m as a complex array, checked to be square, finite and Hermitian."""
     m = _square(m)
     defect = np.abs(m - m.conj().T).max()
     if defect > _HERMITIAN_CHECK_TOL:
@@ -88,7 +81,7 @@ def _hermitian(m: np.ndarray | DensityOperator) -> np.ndarray:
     return m
 
 
-def trace_norm(m: np.ndarray | DensityOperator) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return float(np.abs(hermitian_eigenvalues(m)).sum())
 
@@ -307,22 +300,19 @@ def _minor_matrix(amps: np.ndarray, n: int, p: int) -> np.ndarray:
     return prod - np.swapaxes(prod, -1, -2)
 
 
-def _product(a: np.ndarray | complex, b: np.ndarray | complex) -> np.ndarray | complex:
+def _product(a: np.ndarray | complex, b: np.ndarray | complex) -> np.ndarray:
     """Broadcast a * b in the real arithmetic of a scalar complex product.
 
     Every entry equals its Python-complex evaluation bit for bit; NumPy's
-    vectorised complex multiply can differ in the last bit.  Two scalars,
-    which NumPy would wrap in slow 0-d arrays, multiply as Python complex.
+    vectorised complex multiply can differ in the last bit.
     """
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
-        return complex(a) * complex(b)
     out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fonts:
     """The fonts of the partial transpose with respect to qubit p, one row each.
 
@@ -385,7 +375,7 @@ def concurrence_2q(rho: DensityOperator) -> float:
     """
     if rho.n_qubits != 2:
         raise ValueError(f"requires a 4x4 density operator, got n = {rho.n_qubits}")
-    probs, vecs = hermitian_eigenpairs(rho)
+    probs, vecs = hermitian_eigenpairs(rho.matrix)
     if probs.min() < -1e-9:
         raise ValueError(f"density operator is not PSD: min eigenvalue {probs.min():.3e}")
     keep = probs > 1e-12

@@ -77,21 +77,24 @@ def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarra
     return out
 
 
-def global_pt(rho: DensityOperator, p: int) -> DensityOperator:
-    """Partial transpose of qubit p: <i|out|j> = <j_p i_rest|rho|i_p j_rest>."""
+def global_pt(rho: DensityOperator, p: int) -> np.ndarray:
+    """Partial transpose of qubit p: <i|out|j> = <j_p i_rest|rho|i_p j_rest>.
+
+    The result is a new Hermitian unit-trace matrix, not positive in general.
+    """
     _check_qubit(p, rho.n_qubits)
-    return DensityOperator(rho.n_qubits, _transposed(rho, p))
+    return _transposed(rho, p)
 
 
-def kway_pt(rho: DensityOperator, p: int, K: int) -> DensityOperator:
-    """Selective partial transpose of qubit p touching only K-way elements.
+def kway_pt(rho: DensityOperator, p: int, K: int) -> np.ndarray:
+    """Selective partial transpose of qubit p touching only K-way elements, as a new matrix.
 
     An element whose labels differ in bit p, and whose other n - 1 bits lie
     at Hamming distance K - 1 (at most 1 when K = 2), takes its globally
     transposed value; every other element is copied unchanged.
     """
     _check_qubit(p, rho.n_qubits)
-    return DensityOperator(rho.n_qubits, _transposed(rho, p, K))
+    return _transposed(rho, p, K)
 
 
 def decomposition_residual(rho: DensityOperator, p: int) -> float:

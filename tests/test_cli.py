@@ -32,6 +32,21 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def assert_same_text(actual, expected, label=""):
+    """Fail with the first differing offset and about 80 characters around it.
+
+    Whole reports run to megabytes, and pytest's diff of a failed ``assert ==``
+    on them takes minutes, so the comparison is made outside an assert.
+    """
+    if actual == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+              min(len(actual), len(expected)))
+    around = slice(max(at - 40, 0), at + 40)
+    pytest.fail(f"{label}texts differ at offset {at} (lengths {len(actual)} and "
+                f"{len(expected)}): {actual[around]!r} != {expected[around]!r}", pytrace=False)
+
+
 def write_state(tmp_path, name, *gen_args, capsys):
     path = tmp_path / name
     code, _, err = run_cli(["gen", *gen_args, "--out", str(path)], capsys)
@@ -494,6 +509,35 @@ class TestCheck:
         assert json.loads(out)["lu_sweep"]["max_deviation"] == 0.5
         assert err == "tanglekit: check failed: lu_sweep = 0.5 (tolerance 1e-08)\n"
 
+    @pytest.mark.parametrize("bad", [["--product-identity"], ["--covariance", "C,x,1"],
+                                     ["--covariance", "D,nan,0"], ["--lu-sweep", "5"]])
+    def test_bad_request_is_rejected_before_computing(self, bad, tmp_path, capsys,
+                                                      monkeypatch):
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        expected = run_cli(["check", str(path), *bad], capsys)
+
+        def density(state):
+            raise AssertionError("the decomposition ran before the request was checked")
+
+        monkeypatch.setattr(cli, "density", density)
+        code, out, err = run_cli(["check", str(path), "--decomposition", *bad], capsys)
+        assert (code, out, err) == expected
+        assert code == 2 and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, qubit", [(3, "B"), (4, "D")])
+    def test_value_error_while_computing_is_internal(self, n, qubit, tmp_path, capsys,
+                                                     monkeypatch):
+        path = write_state(tmp_path, "r.json", "random", str(n), capsys=capsys)
+
+        def broken(*args):
+            raise ValueError("state is not normalized: |norm - 1| = 1.000e-03")
+
+        monkeypatch.setattr(cli, f"covariance_check_{n}", broken)
+        code, out, err = run_cli(["check", str(path), "--covariance", f"{qubit},0.3,0.7"], capsys)
+        assert (code, out) == (5, "")
+        assert err == ("tanglekit: internal error: ValueError: "
+                       "state is not normalized: |norm - 1| = 1.000e-03\n")
+
     def test_repeated_seeded_check_is_byte_identical(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         args = ["check", str(path), "--lu-sweep", "25,11", "--decomposition"]
@@ -552,7 +596,7 @@ class TestFontsReport:
             code, out, err = run_cli(["measure", str(path), "--fonts", str(p)], capsys)
             assert (code, err) == (0, "")
             records = font_records(enumerate_fonts(state, p), n)
-            assert out == render_json({f"fonts_q{p}": records}) + "\n", p
+            assert_same_text(out, render_json({f"fonts_q{p}": records}) + "\n", f"p = {p}: ")
 
     @pytest.mark.parametrize("kind", ["random", "product"])
     def test_embedded_between_other_measures(self, kind, tmp_path, capsys):
@@ -563,7 +607,7 @@ class TestFontsReport:
         assert code == 0
         report = {"negativity_q1": global_negativity(state, 1)}
         report.update((f"fonts_q{p}", font_records(enumerate_fonts(state, p), 4)) for p in (1, 2))
-        assert out == render_json(report) + "\n"
+        assert_same_text(out, render_json(report) + "\n")
 
 
 def hand_built_fonts(det_re, det_im, lambda_minus):
@@ -591,14 +635,15 @@ class TestFontsWriter:
         for columns in ([values, values, values], [values, [0.5] * len(values), [-0.5] * len(values)],
                         [[0.25] * len(values), [-0.75] * len(values), values]):
             fonts = hand_built_fonts(*columns)
-            assert _fonts_json(fonts, 3) == render_json(font_records(fonts, 3))
+            assert_same_text(_fonts_json(fonts, 3), render_json(font_records(fonts, 3)))
 
     def test_negative_zero_column_prints_zero(self):
         fonts = hand_built_fonts([0.1], [-0.0], [-0.30000000000000004])
         text = _fonts_json(fonts, 3)
-        assert text == ('[{"i": "000", "j": "101", "p": 1, "k": 2, "det_re": 0.10000000000000001, '
-                        '"det_im": 0.0, "lambda_minus": -0.30000000000000004, "negligible": true}]')
-        assert text == render_json(font_records(fonts, 3))
+        assert_same_text(text, '[{"i": "000", "j": "101", "p": 1, "k": 2, '
+                         '"det_re": 0.10000000000000001, "det_im": 0.0, '
+                         '"lambda_minus": -0.30000000000000004, "negligible": true}]')
+        assert_same_text(text, render_json(font_records(fonts, 3)))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("column", range(3))
@@ -619,7 +664,7 @@ class TestFontsWriter:
                             [0.0, -0.0, 3.0, -(2.0**52), 1e300, -1.0]):
             values[r % 3, r] = ruled
         fonts = hand_built_fonts(*values)
-        assert _fonts_json(fonts, 3) == render_json(font_records(fonts, 3))
+        assert_same_text(_fonts_json(fonts, 3), render_json(font_records(fonts, 3)))
 
     def test_non_finite_in_a_later_block_leaves_stdout_empty(self, tmp_path, capsys,
                                                              monkeypatch):

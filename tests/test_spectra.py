@@ -84,6 +84,13 @@ class TestHermitianEigenvalues:
             with pytest.raises(ValueError, match="must be finite"):
                 solver(np.array(bad))
 
+    @pytest.mark.parametrize("solver", [hermitian_eigenvalues, hermitian_eigenpairs, trace_norm])
+    def test_takes_matrices_only(self, solver):
+        rho = density(bell())
+        with pytest.raises(TypeError):
+            solver(rho)
+        np.testing.assert_allclose(hermitian_eigenvalues(rho.matrix), [0, 0, 0, 1], atol=1e-15)
+
     @pytest.mark.parametrize("dim", [1, 8, 32])
     def test_eigenpairs_diagonalize(self, dim):
         rng = np.random.default_rng(dim)
@@ -128,7 +135,7 @@ class TestHermitianEigenvalues:
 class TestTraceNorm:
     def test_density_operator_is_one(self):
         for seed in range(3):
-            assert abs(trace_norm(density(random_state(3, seed))) - 1) < 1e-12
+            assert abs(trace_norm(density(random_state(3, seed)).matrix) - 1) < 1e-12
 
     def test_bell_global_transpose(self):
         assert abs(trace_norm(global_pt(density(bell()), 1)) - 2) < 1e-12
@@ -474,6 +481,13 @@ class TestFonts:
             before = np.sort(np.abs(enumerate_fonts(s, p).det))
             after = np.sort(np.abs(enumerate_fonts(rotated, p).det))
             assert np.abs(before - after).max() < 1e-12
+
+
+    def test_equality_is_identity_and_hashing_works(self):
+        fonts, again = (enumerate_fonts(random_state(3, 0), 1) for _ in range(2))
+        assert fonts == fonts and fonts != again  # no elementwise compare of the columns
+        assert hash(fonts) == hash(fonts)
+        assert len({fonts, again}) == 2
 
 
 class TestFontNegativity2Q:

@@ -21,6 +21,7 @@ import contextlib
 import errno
 import json
 import os
+import reprlib
 import sys
 import time
 import warnings
@@ -89,9 +90,10 @@ def _natural(text: str) -> int:
     int() alone would also read '٣', fullwidth '３', '+3', '-3' and '0_3'.
     """
     digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid non-negative integer: {text!r}")
-    return int(digits)
+    with contextlib.suppress(ValueError):  # more digits than int() reads
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
+    raise argparse.ArgumentTypeError(f"invalid non-negative integer: {reprlib.repr(text)}")
 
 
 def _diagnose(line: str) -> None:
@@ -221,14 +223,14 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     for text in args.kway:
         parts = text.split(",")
         if len(parts) != 2:
-            raise CliError(f"--kway expects P,K, got {text!r}")
+            raise CliError(f"--kway expects P,K, got {reprlib.repr(text)}")
         p = _parse_qubit(parts[0], n)
         try:
             k = _natural(parts[1])
         except argparse.ArgumentTypeError:
-            raise CliError(f"--kway expects an integer K, got {parts[1]!r}") from None
+            raise CliError(f"--kway expects an integer K, got {reprlib.repr(parts[1])}") from None
         if not 2 <= k <= n:
-            raise CliError(f"K must be in [2, {n}], got {k}")
+            raise CliError(f"K must be in [2, {n}], got {reprlib.repr(k)}")
         kway_pairs.add((p, k))
     font_qubits = sorted({_parse_qubit(t, n) for t in args.fonts})
     if args.all:
@@ -293,7 +295,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.covariance:
         parts = args.covariance.split(",")
         if len(parts) != 3:
-            raise CliError(f"--covariance expects Q,RE,IM, got {args.covariance!r}")
+            raise CliError(f"--covariance expects Q,RE,IM, got {reprlib.repr(args.covariance)}")
         # float() alone would also read non-ASCII digits like '١.٥' and underscores like '1_0'
         try:
             if not all(t.isascii() and "_" not in t for t in parts[1:]):
@@ -315,7 +317,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
         parts = args.lu_sweep.split(",")
         if len(parts) != 2:
-            raise CliError(f"--lu-sweep expects TRIALS,SEED, got {args.lu_sweep!r}")
+            raise CliError(f"--lu-sweep expects TRIALS,SEED, got {reprlib.repr(args.lu_sweep)}")
         try:
             trials, seed = _natural(parts[0]), _natural(parts[1])
         except argparse.ArgumentTypeError:

@@ -249,10 +249,10 @@ def covariance_check_4(
 def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     """Max deviation of the tangle under products of Haar single-qubit unitaries.
 
-    Each trial applies one independent Haar unitary per qubit, seeded from
-    (seed, trial) so results do not depend on evaluation order.  Trials run
-    in blocks of a few hundred, so memory stays bounded: a block draws the
-    same unitaries as ``haar_unitary`` per trial would, takes one stacked QR,
+    Each trial applies one independent Haar unitary per qubit: trial t's n unitaries
+    are the next n ``haar_unitary`` draws from one ``default_rng(seed)``, so the
+    result does not depend on how trials are grouped.  Trials run in blocks of a few
+    hundred, so memory stays bounded: a block takes one draw and one stacked QR,
     rotates a stack of amplitude vectors and evaluates its tangles together.
     Every check of the per-trial values (finite, unitary and normalized to
     the LocalUnitary and PureState tolerances, and for three qubits the
@@ -268,9 +268,9 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    worst = 0.0
+    rng, worst = np.random.default_rng(seed), 0.0
     for start in range(0, trials, _SWEEP_BLOCK):
-        amps = _haar_rotated(state, seed, range(start, min(start + _SWEEP_BLOCK, trials)))
+        amps = _haar_rotated(state, rng, min(_SWEEP_BLOCK, trials - start))
         deviation = np.abs(tangles(*_minor_matrix(amps, n, 1)[:, u, v].T) - reference)
         worst = max(worst, float(deviation.max()))
     return worst

@@ -379,9 +379,7 @@ def concurrence_2q(rho: DensityOperator) -> float:
     if probs.min() < -1e-9:
         raise ValueError(f"density operator is not PSD: min eigenvalue {probs.min():.3e}")
     keep = probs > 1e-12
-    probs = probs[keep]
-    vecs = vecs[:, keep]
-    root = np.sqrt(probs)
+    root, vecs = np.sqrt(probs[keep]), vecs[:, keep]
     a = (root[:, None] * (vecs.conj().T @ _SIGMA_YY @ vecs.conj())) * root[None, :]
     lams = singular_value_decomposition(a)[1]
     lams = np.concatenate([lams, np.zeros(4 - lams.size)])

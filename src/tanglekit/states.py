@@ -54,11 +54,14 @@ def parse_qubit(label: str | int, n: int) -> int:
     """Qubit of an ASCII letter (A is qubit 1) or of ASCII digits (1-based), checked against n."""
     text = str(label).strip()
     # isalpha() and int() alone would also take 'ß' (two letters upper-cased) or fullwidth digits
-    if not text.isascii() or not (text.isdigit() or len(text) == 1 and text.isalpha()):
-        raise ValueError(f"invalid qubit {label!r}")
-    q = int(text) if text.isdigit() else ord(text.upper()) - ord("A") + 1
+    try:
+        if not text.isascii() or not (text.isdigit() or len(text) == 1 and text.isalpha()):
+            raise ValueError
+        q = int(text) if text.isdigit() else ord(text.upper()) - ord("A") + 1
+    except ValueError:  # also more digits than int() reads (sys.get_int_max_str_digits())
+        raise ValueError(f"invalid qubit {reprlib.repr(label)}") from None
     if not 1 <= q <= n:
-        raise ValueError(f"qubit {label!r} out of range for {n} qubits")
+        raise ValueError(f"qubit {reprlib.repr(label)} out of range for {n} qubits")
     return q
 
 
@@ -298,9 +301,9 @@ def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed 2x2 unitary: QR of a Ginibre matrix with the Mezzadri phase fix.
 
-    Draws ``rng.standard_normal((2, 2, 2))``, the real then the imaginary
-    parts, so n calls on one generator give the same unitaries as one
-    ``standard_normal((n, 2, 2, 2))`` draw, which ``lu_invariance_sweep`` uses.
+    Draws ``rng.standard_normal((2, 2, 2))``, the real then the imaginary parts, so
+    successive calls give the unitaries of one ``standard_normal((..., 2, 2, 2))`` draw,
+    such as the ``(block, n, 2, 2, 2)`` draw per block of ``lu_invariance_sweep``.
     """
     return _haar_from_ginibre(rng.standard_normal((2, 2, 2)))
 
@@ -318,11 +321,8 @@ def random_product_state(n: int, seed: int) -> PureState:
     """Product of n single-qubit factors, each two complex Gaussian draws; deterministic per seed."""
     _check_count(n)
     rng = np.random.default_rng(seed)
-    factors = []
-    for _ in range(n):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        factors.append((complex(z[0]), complex(z[1])))
-    return product_state(factors)
+    z = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
+    return product_state([(complex(z0), complex(z1)) for z0, z1 in z])
 
 
 def random_local_unitary(target: int, seed: int) -> LocalUnitary:
@@ -345,20 +345,19 @@ def apply_local_unitary(state: PureState, *lus: LocalUnitary) -> PureState:
     return PureState(n, amps)
 
 
-def _haar_rotated(state: PureState, seed: int, trials: range) -> np.ndarray:
-    """Amplitudes of ``state`` after each trial's product of Haar unitaries, one row per trial.
+def _haar_rotated(state: PureState, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Amplitudes of ``state`` after each of ``trials`` products of Haar unitaries, one row each.
 
-    Trial t draws its n unitaries from ``default_rng((seed, t))``, in qubit
-    order, exactly as n ``haar_unitary`` calls on that generator would.  The
+    One ``rng.standard_normal((trials, n, 2, 2, 2))`` draw gives the unitaries of
+    ``trials * n`` ``haar_unitary`` calls on ``rng``, in trial then qubit order.  The
     stacks get the checks a LocalUnitary and a PureState make, at the same
     tolerances: finite and unitary, then finite and normalized.
     """
     n = state.n_qubits
-    draws = [np.random.default_rng((seed, t)).standard_normal((n, 2, 2, 2)) for t in trials]
-    unitaries = _haar_from_ginibre(np.stack(draws))
+    unitaries = _haar_from_ginibre(rng.standard_normal((trials, n, 2, 2, 2)))
     _check_finite(unitaries, "Haar unitaries")
     _check_unitary(unitaries)
-    amps = np.broadcast_to(state.amplitudes, (len(trials), state.dim))
+    amps = np.broadcast_to(state.amplitudes, (trials, state.dim))
     for q in range(1, n + 1):
         amps = _apply_on_qubit(amps, unitaries[:, q - 1], q, n)
     _check_finite(amps, "rotated amplitudes")

@@ -124,6 +124,14 @@ class TestGen:
         assert out == ""
         assert err.startswith("usage:") and "invalid non-negative integer" in err
 
+    def test_over_long_seed_is_usage_error(self, capsys):
+        # more digits than int() reads; the error line shows only a few of them
+        code, out, err = run_cli(["gen", "random", "3", "--seed", "7" * 5000], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage:") and "invalid non-negative integer" in err
+        assert len(err.splitlines()[-1].encode()) < 200
+
     def test_unwritable_path_is_io_error(self, capsys):
         code, _, err = run_cli(["gen", "ghz", "3", "--out", "/no/such/dir/x.json"], capsys)
         assert code == 3
@@ -487,6 +495,23 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == "tanglekit: --lu-sweep expects non-negative integers TRIALS,SEED\n"
+
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("check", "--lu-sweep", "5," + "7" * 5000),
+        ("check", "--lu-sweep", "7" * 5000 + ",5"),
+        ("measure", "--kway", "1," + "7" * 5000),
+        ("measure", "--negativity", "7" * 5000),
+        ("measure", "--kway", "1," + "7" * 4000),
+        ("measure", "--negativity", "7" * 4000),
+    ], ids=["lu-sweep-seed", "lu-sweep-trials", "kway-k", "negativity", "kway-k-4000",
+            "negativity-4000"])
+    def test_over_long_integer_is_usage_error(self, command, flag, spec, tmp_path, capsys):
+        # int() raises ValueError beyond 4,300 digits; shorter ones are echoed in brief
+        path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
+        code, out, err = run_cli([command, str(path), flag, spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200
 
     def test_bad_lu_sweep_spec(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
@@ -905,6 +930,17 @@ class TestSubprocessEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_seeded_lu_sweep_is_byte_identical_across_runs(self, tmp_path):
+        path = tmp_path / "r4.json"
+        subprocess.run(
+            [sys.executable, "-m", "tanglekit", "gen", "random", "4", "--out", str(path)],
+            check=True,
+        )
+        argv = [sys.executable, "-m", "tanglekit", "check", str(path), "--lu-sweep", "700,5"]
+        first, second = (subprocess.run(argv, capture_output=True, check=True) for _ in range(2))
+        assert first.stdout == second.stdout
+        assert json.loads(first.stdout)["lu_sweep"]["max_deviation"] < 1e-8
 
     def test_nan_covariance_parameter_prints_no_warning(self, tmp_path):
         path = tmp_path / "ghz4.json"

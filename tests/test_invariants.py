@@ -46,15 +46,15 @@ SWEEP_STATES = {
 def per_trial_sweep(state, trials, seed):
     """Reference for lu_invariance_sweep: each trial's tangle deviation, one trial at a time.
 
-    Trial t draws n haar_unitary from default_rng((seed, t)), applies them as
-    LocalUnitary values and measures the rotated PureState.
+    Trial t takes the next n haar_unitary draws from one default_rng(seed),
+    applies them as LocalUnitary values and measures the rotated PureState.
     """
     n = state.n_qubits
     measure = three_tangle if n == 3 else four_tangle
     reference = measure(state)
     deviations = []
+    rng = np.random.default_rng(seed)
     for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
         lus = [LocalUnitary(q, haar_unitary(rng)) for q in range(1, n + 1)]
         deviations.append(abs(measure(apply_local_unitary(state, *lus)) - reference))
     return deviations
@@ -529,7 +529,7 @@ class TestLuInvarianceSweep:
         s = SWEEP_STATES[kind](n)
         deviations = per_trial_sweep(s, 3 * BLOCK + 7, 19)
         for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
-            assert abs(lu_invariance_sweep(s, trials, 19) - max(deviations[:trials])) <= 1e-15
+            assert lu_invariance_sweep(s, trials, 19) == max(deviations[:trials])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_draws_the_haar_unitaries_of_each_trial(self, n, monkeypatch):
@@ -546,10 +546,32 @@ class TestLuInvarianceSweep:
         monkeypatch.undo()
         unitaries = np.concatenate(drawn)
         assert unitaries.shape == (trials, n, 2, 2)
+        rng = np.random.default_rng(seed)
         for trial in range(trials):
-            rng = np.random.default_rng((seed, trial))
             for q in range(n):
                 assert np.array_equal(unitaries[trial, q], haar_unitary(rng))
+
+    @pytest.mark.parametrize("trials", [30, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_makes_one_generator_per_sweep(self, n, trials, monkeypatch):
+        s, made = random_state(n, 1), []
+        original = np.random.default_rng
+
+        def counting(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        lu_invariance_sweep(s, trials, 8)
+        assert made == [(8,)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_does_not_depend_on_the_block_size(self, n, monkeypatch):
+        s = random_state(n, 12)
+        expected = lu_invariance_sweep(s, 3 * BLOCK + 7, 6)
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(invariants, "_SWEEP_BLOCK", block)
+            assert lu_invariance_sweep(s, 3 * BLOCK + 7, 6) == expected, block
 
     @pytest.mark.parametrize(
         "corrupt, message",

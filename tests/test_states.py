@@ -369,6 +369,13 @@ class TestParseQubit:
         with pytest.raises(ValueError, match="out of range"):
             parse_qubit(label, 4)
 
+    @pytest.mark.parametrize("digits, message", [(4000, "out of range"), (5000, "invalid qubit")])
+    def test_long_digit_strings_are_echoed_in_brief(self, digits, message):
+        # beyond 4,300 digits int() raises a ValueError of its own
+        with pytest.raises(ValueError, match=message) as caught:
+            parse_qubit("7" * digits, 4)
+        assert len(str(caught.value)) < 100
+
 
 class TestStateFileFormat:
     def test_round_trip_omits_zeros(self):

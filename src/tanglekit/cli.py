@@ -42,11 +42,13 @@ from .invariants import (
 )
 from .reporting import Rendered, _bracketed, format_float, render_json
 from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
+from .spectra import _CLOSED_FORM, _kway_route  # the routes measure --trace names
 from .states import (
     PureState,
     cluster4,
     density,
     ghz,
+    index_to_bits,
     parse_qubit,
     random_product_state,
     random_state,
@@ -69,6 +71,8 @@ CHECK_TOL = 1e-8
 _GEN_KINDS = ("ghz", "w", "cluster4", "product", "random")
 # rows of a fonts report formatted by one % call
 _FONT_BLOCK_ROWS = 1024
+# about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
+_MAX_SWEEP_TRIALS = 10_000_000
 
 
 class CliError(Exception):
@@ -184,7 +188,7 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
     floats = (fonts.det.real, fonts.det.imag, fonts.lambda_minus)
     # %.17g is format_float on finite non-integral doubles; rows with any other value take the rule
     ruled = np.logical_or.reduce([(c == np.trunc(c)) | ~np.isfinite(c) for c in floats])
-    label = np.array([format(x, f"0{n}b") for x in range(2**n)], dtype=object)
+    label = np.array([index_to_bits(x, n) for x in range(2**n)], dtype=object)
     columns = (label[fonts.i], label[fonts.j], fonts.k, *floats,
                np.take(np.array(["false", "true"], dtype=object), fonts.negligible))
     row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %.17g, '
@@ -240,27 +244,22 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if not (want_tangle3 or want_tangle4 or neg_qubits or kway_pairs or font_qubits):
         raise CliError("no measures requested")
 
-    # (report key, route, matrix side, computation) in report order; K >= 3 factors the
-    # 2**(n-2) parity blocks of the 2**(n-1) matrix
-    half = 2 ** (n - 1)
+    # (report key, route, matrix side, computation) in report order; the closed forms read
+    # the 2**(n-1) minor matrix, and spectra names each K-way route
+    closed = (_CLOSED_FORM, 2 ** (n - 1))
     stages: list[tuple[str, str, int, Callable[[], object]]] = []
     if want_tangle3:
-        stages.append(("tangle3", "closed_form", half, partial(three_tangle, state)))
+        stages.append(("tangle3", *closed, partial(three_tangle, state)))
     if want_tangle4:
-        stages.append(("tangle4", "closed_form", half, partial(four_tangle, state)))
+        stages.append(("tangle4", *closed, partial(four_tangle, state)))
         if args.all:
-            stages.append(("four_invariant_abs", "closed_form", half,
-                           lambda: abs(four_invariant(state))))
-    stages += [(f"negativity_q{p}", "closed_form", half, partial(global_negativity, state, p))
+            stages.append(("four_invariant_abs", *closed, lambda: abs(four_invariant(state))))
+    stages += [(f"negativity_q{p}", *closed, partial(global_negativity, state, p))
                for p in neg_qubits]
-    for p, k in sorted(kway_pairs):
-        if k > 2:
-            route = ("parity_split", half // 2)
-        else:  # at n = 2 the 2-way transpose is the global one
-            route = ("closed_form" if n == 2 else "half_size", half)
-        stages.append((f"kway_q{p}_k{k}", *route, partial(kway_negativity, state, p, k)))
-    stages += [(f"fonts_q{p}", "closed_form", half,
-                lambda p=p: _fonts_json(enumerate_fonts(state, p), n)) for p in font_qubits]
+    stages += [(f"kway_q{p}_k{k}", *_kway_route(n, k), partial(kway_negativity, state, p, k))
+               for p, k in sorted(kway_pairs)]
+    stages += [(f"fonts_q{p}", *closed, lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
+               for p in font_qubits]
 
     report: dict = {}
     for key, route, dim, compute in stages:
@@ -322,6 +321,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             trials, seed = _natural(parts[0]), _natural(parts[1])
         except argparse.ArgumentTypeError:
             raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED") from None
+        if trials > _MAX_SWEEP_TRIALS:
+            raise CliError(f"--lu-sweep TRIALS must be at most {_MAX_SWEEP_TRIALS:,}, "
+                           f"got {reprlib.repr(trials)}")
 
     report: dict = {}
     residuals: list[tuple[str, float]] = []

@@ -23,7 +23,8 @@ from one of three factorisations:
     K odd >= 3    H is block diagonal: one eigensolve of each 2**(n-2) block
     K even >= 4   H = [[0, G], [G^dag, 0]]: one 2**(n-2) SVD of G
 
-A mixed DensityOperator takes the dense transpose and eigensolve.
+``_kway_route`` names the route that ``measure --trace`` reports.  Any operator
+rho, pure or mixed, has the dense spectrum ``hermitian_eigenvalues(kway_pt(rho, p, K))``.
 """
 from __future__ import annotations
 
@@ -31,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, PureState, _check_finite, _check_qubit
-from .transpose import _kway_selection, _parity_order, _rest_distance, kway_pt
+from .states import DensityOperator, PureState, _check_finite, _check_hermitian, _check_qubit
+from .transpose import _kway_selection, _parity_order, _rest_distance
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
 NEG_EIG_TOL = 1e-12
 FONT_ZERO_TOL = 1e-14
-_HERMITIAN_CHECK_TOL = 1e-10
+# the route, as ``measure --trace`` names it, of a value read in closed form off amplitude minors
+_CLOSED_FORM = "closed_form"
 _EPS = float(np.finfo(float).eps)
 # a bracket halved this often is below one ulp of any root; a root still moving after
 # this many steps, which may be rational steps, is an error
@@ -75,9 +77,7 @@ def _square(m: np.ndarray) -> np.ndarray:
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """m as a complex array, checked to be square, finite and Hermitian."""
     m = _square(m)
-    defect = np.abs(m - m.conj().T).max()
-    if defect > _HERMITIAN_CHECK_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
+    _check_hermitian(m)
     return m
 
 
@@ -98,47 +98,48 @@ def global_negativity(state: PureState, p: int) -> float:
     return float(2.0 * np.sqrt(np.sum(d.real**2 + d.imag**2) / 2.0)) / norm2
 
 
-def kway_negativity(operand: PureState | DensityOperator, p: int, K: int) -> float:
-    """Twice the absolute sum of negative eigenvalues of the K-way transpose.
+def _kway_route(n: int, K: int) -> tuple[str, int]:
+    """The route ``kway_negativity`` takes for n qubits and K, and the side it factors.
 
-    A DensityOperator takes the dense spectrum of ``kway_pt``.  A PureState, with
-    a, b qubit p's rows and C_K the K-way selection table, takes
+    At n = K = 2 the 2-way transpose is the global one, read in closed form off
+    the 2**(n-1) minor matrix; K = 2 otherwise factors H, and K >= 3 its parity blocks.
+    """
+    if K > 2:
+        return "parity_split", 2 ** (n - 2)
+    return (_CLOSED_FORM if n == 2 else "half_size"), 2 ** (n - 1)
+
+
+def kway_negativity(state: PureState, p: int, K: int) -> float:
+    """Twice the absolute sum of negative eigenvalues of the K-way transpose of a pure state.
+
+    With a, b qubit p's rows and C_K the K-way selection table,
 
         H = i (b a^dag - a b^dag) o C_K = V diag(mu) V^dag
         z = [V^dag (a - i b), V^dag (a + i b)] / sqrt 2
         spectrum(kway_pt(psi psi^dag)) = spectrum(diag(mu, -mu) + z z^dag)
 
-    where V and mu come from one 2**(n-1) eigensolve for K = 2, from one
-    eigensolve of each 2**(n-2) parity block for odd K and from one 2**(n-2)
-    SVD for even K >= 4 (see ``_half_size_factors``).  At n = 2 the 2-way
-    transpose is the global one, so a PureState takes ``global_negativity``.
-    """
-    if isinstance(operand, PureState):
-        if operand.n_qubits == K == 2:
-            return global_negativity(operand, p)
-        eigs = _half_size_spectrum(operand, p, K)
-    else:
-        eigs = hermitian_eigenvalues(kway_pt(operand, p, K))
-    negative = eigs[eigs < -NEG_EIG_TOL]
-    return float(2.0 * abs(negative.sum()))
-
-
-def _half_size_spectrum(state: PureState, p: int, K: int) -> np.ndarray:
-    """Eigenvalues of the K-way transpose of the state's operator, among them every negative one.
-
     In block order (bit p = 0, bit p = 1) the transpose is psi psi^dag plus
-    [[0, Y], [Y^dag, 0]] with Y = -i H; [[V, V], [iV, -iV]] / sqrt 2 takes
-    that sum to diag(mu, -mu) plus the rank-one z z^dag.
+    [[0, Y], [Y^dag, 0]] with Y = -i H, and [[V, V], [iV, -iV]] / sqrt 2 takes
+    that sum to diag(mu, -mu) plus the rank-one z z^dag.  ``_half_size_factors``
+    gives V and mu, and ``_kway_route`` names the route; at n = K = 2 it is
+    ``global_negativity``'s closed form.  K must be an integer in [2, n], and
+    anything but a PureState raises TypeError.
     """
+    if not isinstance(state, PureState):
+        raise TypeError(f"kway_negativity takes a PureState, got {type(state).__name__}")
     n = state.n_qubits
     _check_qubit(p, n)
     order, distance = _parity_order(n - 1)
-    selected = _kway_selection(n, K, distance)
+    selected = _kway_selection(n, K, distance)  # checks K before any route is taken
+    if _kway_route(n, K)[0] == _CLOSED_FORM:
+        return global_negativity(state, p)
     a, b = (row[order] for row in _rows(state.amplitudes, n, p))
     mu, z = _half_size_factors(a, b, selected, K)
     norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)  # as ``density`` divides
     weights = (z.real**2 + z.imag**2).T.reshape(-1) / (2.0 * norm2)
-    return _rank_one_spectrum(np.concatenate([mu, -mu]) / norm2, weights)
+    eigs = _rank_one_spectrum(np.concatenate([mu, -mu]) / norm2, weights)
+    negative = eigs[eigs < -NEG_EIG_TOL]
+    return float(2.0 * abs(negative.sum()))
 
 
 def _half_size_factors(

@@ -12,6 +12,7 @@ operation mutates its inputs.
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
 import warnings
 from dataclasses import dataclass, field
@@ -77,14 +78,24 @@ def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray
     return arr
 
 
+def _check_integer(x: object, what: str) -> None:
+    """Raise ValueError unless operator.index reads x: 3.0 and 2.5 are not integers."""
+    try:
+        operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
+
+
 def _check_count(n: int, least: int = 1) -> None:
-    """Raise unless least <= n <= MAX_QUBITS: the qubit counts the package supports."""
+    """Raise unless n is an integer in [least, MAX_QUBITS]: the qubit counts supported."""
+    _check_integer(n, "qubit count")
     if not least <= n <= MAX_QUBITS:
         raise ValueError(f"requires {least} <= n <= {MAX_QUBITS} qubits, got {reprlib.repr(n)}")
 
 
 def _check_qubit(q: int, n: int) -> None:
-    """Raise unless q is a qubit (1-based) of an n-qubit system."""
+    """Raise unless q is a qubit (an integer, 1-based) of an n-qubit system."""
+    _check_integer(q, "qubit")
     if not 1 <= q <= n:
         raise ValueError(f"qubit {q} out of range for {n} qubits")
 
@@ -109,6 +120,13 @@ def _check_unitary(m: np.ndarray) -> None:
     defect = np.abs(np.swapaxes(m, -1, -2).conj() @ m - np.eye(2)).max()
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Raise unless the square matrix m is Hermitian; callers check finiteness first."""
+    defect = np.abs(m - m.conj().T).max()
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
 
 
 @dataclass(frozen=True)
@@ -193,9 +211,7 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = _frozen_copy(self, "matrix", (2**self.n_qubits,) * 2)
-        herm = np.abs(m - m.conj().T).max()
-        if herm > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {herm:.3e}")
+        _check_hermitian(m)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")

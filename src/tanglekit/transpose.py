@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityOperator, _check_qubit
+from .states import DensityOperator, _check_integer, _check_qubit
 
 
 @lru_cache(maxsize=None)
@@ -48,16 +48,15 @@ def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
     return order, ordered
 
 
-def _kway_selection(n: int, K: int, distance: np.ndarray | None = None) -> np.ndarray:
+def _kway_selection(n: int, K: int, distance: np.ndarray) -> np.ndarray:
     """Bool (2**(n-1), 2**(n-1)) table of the rest-label pairs the K-way transpose selects.
 
-    distance is the rest distance table in the labels' order, by default
-    ``_rest_distance(n - 1)``.
+    distance is the rest distance table in the labels' order.  K must be an
+    integer in [2, n]; the K-way transposes and negativities all check it here.
     """
+    _check_integer(K, "K")
     if not 2 <= K <= n:
         raise ValueError(f"K must be in [2, {n}], got {K}")
-    if distance is None:
-        distance = _rest_distance(n - 1)
     return distance <= 1 if K == 2 else distance == K - 1
 
 
@@ -68,7 +67,7 @@ def _transposed(rho: DensityOperator, p: int, K: int | None = None) -> np.ndarra
     high, low = 2 ** (p - 1), 2 ** (n - p)
     selected = True  # every element of the two blocks: the global transpose
     if K is not None:
-        selected = _kway_selection(n, K).reshape(high, low, high, low)
+        selected = _kway_selection(n, K, _rest_distance(n - 1)).reshape(high, low, high, low)
     blocks = rho.matrix.reshape(high, 2, low, high, 2, low)
     out = rho.matrix.copy()
     view = out.reshape(blocks.shape)

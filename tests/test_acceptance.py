@@ -37,6 +37,8 @@ from tanglekit import (
     w_state,
 )
 
+from oracles import dense_kway_negativity
+
 
 def _verdict(name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -198,9 +200,12 @@ def test_criterion_7_negativity_cross_checks():
     ghz3 = ghz(3)
     deviations = [
         abs(global_negativity(ghz3, 1) - 1.0),
-        abs(kway_negativity(density(ghz3), 1, 3) - 1.0),
-        abs(kway_negativity(density(ghz3), 1, 2)),
-        abs(kway_negativity(density(w_state(3)), 1, 3)),
+        abs(kway_negativity(ghz3, 1, 3) - 1.0),
+        abs(kway_negativity(ghz3, 1, 2)),
+        abs(kway_negativity(w_state(3), 1, 3)),
+        abs(dense_kway_negativity(density(ghz3), 1, 3) - 1.0),
+        abs(dense_kway_negativity(density(ghz3), 1, 2)),
+        abs(dense_kway_negativity(density(w_state(3)), 1, 3)),
     ]
     _verdict(
         "criterion 7: negativity cross-checks",

@@ -519,6 +519,19 @@ class TestCheck:
             code, _, _ = run_cli(["check", str(path), "--lu-sweep", bad], capsys)
             assert code == 2, bad
 
+    def test_lu_sweep_trials_are_bounded(self, tmp_path, capsys, monkeypatch):
+        # the bound itself reaches the sweep, patched here so that no trial runs
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        swept = []
+        monkeypatch.setattr(cli, "lu_invariance_sweep", lambda s, t, sd: swept.append(t) or 0.0)
+        bound = cli._MAX_SWEEP_TRIALS
+        code, out, err = run_cli(["check", str(path), "--lu-sweep", f"{bound + 1},3"], capsys)
+        assert (code, out, swept) == (2, "", [])
+        assert err == "tanglekit: --lu-sweep TRIALS must be at most 10,000,000, got 10000001\n"
+        code, out, err = run_cli(["check", str(path), "--lu-sweep", f"{bound},3"], capsys)
+        assert (code, err, swept) == (0, "", [bound])
+        assert json.loads(out)["lu_sweep"] == {"max_deviation": 0.0, "trials": bound, "seed": 3}
+
     def test_no_flags_is_usage_error(self, tmp_path, capsys):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         code, _, _ = run_cli(["check", str(path)], capsys)
@@ -535,7 +548,8 @@ class TestCheck:
         assert err == "tanglekit: check failed: lu_sweep = 0.5 (tolerance 1e-08)\n"
 
     @pytest.mark.parametrize("bad", [["--product-identity"], ["--covariance", "C,x,1"],
-                                     ["--covariance", "D,nan,0"], ["--lu-sweep", "5"]])
+                                     ["--covariance", "D,nan,0"], ["--lu-sweep", "5"],
+                                     ["--lu-sweep", "10000001,1"]])
     def test_bad_request_is_rejected_before_computing(self, bad, tmp_path, capsys,
                                                       monkeypatch):
         path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)

@@ -27,6 +27,7 @@ from tanglekit import (
     product_state,
     random_product_state,
     random_state,
+    reduced_density,
     trace_norm,
     w_state,
 )
@@ -38,6 +39,8 @@ from tanglekit.spectra import (
     singular_value_decomposition,
 )
 from tanglekit.transpose import _kway_selection, _parity_order
+
+from oracles import dense_kway_negativity
 
 INV_SQRT2 = 1 / np.sqrt(2)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
@@ -74,6 +77,17 @@ class TestHermitianEigenvalues:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             hermitian_eigenvalues(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("defect, hermitian", [(1e-11, False), (1e-13, True)])
+    def test_one_hermitian_tolerance(self, defect, hermitian):
+        # the eigensolvers and DensityOperator accept and reject the same matrices
+        m = np.array([[0.5, defect], [0, 0.5]], dtype=complex)
+        for check in (hermitian_eigenvalues, lambda m: DensityOperator(1, m)):
+            if hermitian:
+                check(m)
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    check(m)
 
     @pytest.mark.parametrize("bad", [[[np.nan]], [[np.inf, 0], [0, 1]]])
     @pytest.mark.parametrize("solver", [hermitian_eigenvalues, hermitian_eigenpairs, trace_norm,
@@ -158,6 +172,11 @@ class TestGlobalNegativity:
         with pytest.raises(ValueError):
             global_negativity(bell(), 3)
 
+    def test_qubit_must_be_an_integer(self):
+        # 1.5 is in range, and would otherwise fail in a reshape with a TypeError
+        with pytest.raises(ValueError, match="qubit must be an integer, got 1.5"):
+            global_negativity(random_state(3, 1), 1.5)
+
     def test_matches_negative_eigenvalue_route(self):
         # the closed form against the dense eigensolve, up to 1024x1024
         for n in range(2, 11):
@@ -178,16 +197,20 @@ class TestGlobalNegativity:
             assert abs(global_negativity(s, p) - global_negativity(rotated, p)) < 1e-9
 
 
+# each value by the half-size route on the state and by the dense route on its operator
+ROUTES = [(kway_negativity, lambda state: state),
+          (dense_kway_negativity, density)]
+
+
 class TestKWayNegativity:
-    # each value by the half-size route (PureState) and by the dense route (DensityOperator)
     def test_ghz3_values(self):
-        for operand in (ghz(3), density(ghz(3))):
-            assert abs(kway_negativity(operand, 1, 3) - 1) < 1e-12
-            assert kway_negativity(operand, 1, 2) == 0.0
+        for negativity, operand in ROUTES:
+            assert abs(negativity(operand(ghz(3)), 1, 3) - 1) < 1e-12
+            assert negativity(operand(ghz(3)), 1, 2) == 0.0
 
     def test_w3_three_way_is_zero(self):
-        for operand in (w_state(3), density(w_state(3))):
-            assert kway_negativity(operand, 1, 3) == 0.0
+        for negativity, operand in ROUTES:
+            assert negativity(operand(w_state(3)), 1, 3) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_qubits_take_the_global_closed_form(self, seed):
@@ -197,13 +220,27 @@ class TestKWayNegativity:
                 assert kway_negativity(state, p, 2) == global_negativity(state, p)
 
     def test_out_of_range(self):
-        for operand in (ghz(3), density(ghz(3))):
+        for negativity, operand in ROUTES:
             with pytest.raises(ValueError):
-                kway_negativity(operand, 1, 4)
+                negativity(operand(ghz(3)), 1, 4)
             with pytest.raises(ValueError):
-                kway_negativity(operand, 4, 2)
+                negativity(operand(ghz(3)), 4, 2)
             with pytest.raises(ValueError):
-                kway_negativity(operand, 1, 1)
+                negativity(operand(ghz(3)), 1, 1)
+
+    @pytest.mark.parametrize("n, K", [(3, 2.5), (3, 3.0), (3, 2.0), (2, 2.0), (4, "3")])
+    def test_k_must_be_an_integer(self, n, K):
+        # 2.5 and 3.0 would otherwise select no pair and read 0.0, and 2.0 at n = 2 would
+        # take the closed form
+        with pytest.raises(ValueError, match="K must be an integer"):
+            kway_negativity(random_state(n, 1), 1, K)
+
+    def test_takes_pure_states_only(self):
+        state = random_state(3, 5)
+        mixed = reduced_density(random_state(4, 5), (1, 2, 3))
+        for operand in (density(state), mixed, density(state).matrix, state.amplitudes):
+            with pytest.raises(TypeError, match="PureState"):
+                kway_negativity(operand, 1, 3)
 
 
 def plus_on_first_qubit(n, seed):
@@ -225,7 +262,7 @@ class TestHalfSizeOracle:
         rho = density(state)
         for p in qubits:
             for K in ks:
-                gap = abs(kway_negativity(state, p, K) - kway_negativity(rho, p, K))
+                gap = abs(kway_negativity(state, p, K) - dense_kway_negativity(rho, p, K))
                 assert gap < 1e-12, (state.n_qubits, p, K, gap)
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -283,7 +320,7 @@ class TestHalfSizeOracle:
 class TestHalfSizeBlocks:
     """What each factorisation reads, against the blocks of the masked i (x - x^dag) o C_K."""
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_inputs_are_blocks_of_h(self, n, monkeypatch):
         captured = []
 
@@ -293,7 +330,8 @@ class TestHalfSizeBlocks:
                 return solver(m)
             return wrapped
 
-        for name in ("hermitian_eigenpairs", "singular_value_decomposition"):
+        for name in ("hermitian_eigenvalues", "hermitian_eigenpairs",
+                     "singular_value_decomposition"):
             monkeypatch.setattr(spectra, name, capture(getattr(spectra, name)))
         state = random_state(n, 4500 + n)
         order, distance = _parity_order(n - 1)
@@ -303,8 +341,12 @@ class TestHalfSizeBlocks:
             a, b = rows[:, 0].reshape(-1)[order], rows[:, 1].reshape(-1)[order]
             x = np.outer(b, a.conj())
             for K in range(2, n + 1):
+                route, side = spectra._kway_route(n, K)
+                assert (route == "closed_form") == (n == 2)
                 h = np.where(_kway_selection(n, K, distance), 1j * (x - x.conj().T), 0)
-                if K == 2:
+                if route == "closed_form":  # the global negativity's closed form factors nothing
+                    expected = []
+                elif K == 2:
                     expected = [("hermitian_eigenpairs", h)]
                 elif K % 2:
                     expected = [("hermitian_eigenpairs", blk) for blk in (h[:q, :q], h[q:, q:])]
@@ -313,9 +355,10 @@ class TestHalfSizeBlocks:
                 captured.clear()
                 kway_negativity(state, p, K)
                 assert [name for name, _ in captured] == [name for name, _ in expected]
+                # the dims measure --trace reports: 2**(n-1) for K = 2, 2**(n-2) above
+                assert side == (2 * q if K == 2 else q)
                 for (name, m), (_, block) in zip(captured, expected):
-                    # the dims measure --trace reports: 2**(n-1) for K = 2, 2**(n-2) above
-                    assert m.shape == block.shape == ((2 * q, 2 * q) if K == 2 else (q, q))
+                    assert m.shape == block.shape == (side, side)
                     assert np.abs(m - block).max() <= 1e-15 * np.abs(h).max()
                     if name == "hermitian_eigenpairs":
                         assert np.array_equal(m, m.conj().T)

@@ -184,6 +184,11 @@ class TestApplyLocalUnitary:
         with pytest.raises(ValueError, match="out of range"):
             apply_local_unitary(ghz(2), LocalUnitary(1, np.eye(2)), LocalUnitary(3, np.eye(2)))
 
+    def test_target_must_be_an_integer(self):
+        # 1.5 is in range, and would otherwise fail in a reshape with a TypeError
+        with pytest.raises(ValueError, match="qubit must be an integer, got 1.5"):
+            apply_local_unitary(random_state(3, 1), LocalUnitary(1.5, np.eye(2)))
+
     def test_no_unitaries_keeps_amplitudes(self):
         s = random_state(3, 5)
         np.testing.assert_array_equal(apply_local_unitary(s).amplitudes, s.amplitudes)
@@ -331,6 +336,12 @@ class TestValidation:
     def test_pure_state_requires_normalization(self):
         with pytest.raises(ValueError, match="not normalized"):
             PureState(1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3"])
+    def test_qubit_count_must_be_an_integer(self, n):
+        # 3.0 would otherwise be accepted, and the tangles, negativities and fonts fail later
+        with pytest.raises(ValueError, match=f"qubit count must be an integer, got {n!r}"):
+            PureState(n, random_state(3, 1).amplitudes)
 
     def test_local_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):

@@ -17,6 +17,8 @@ from tanglekit import (
 )
 from tanglekit.spectra import NEG_EIG_TOL
 
+from oracles import dense_kway_negativity
+
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
@@ -119,6 +121,12 @@ class TestKWayPT:
         with pytest.raises(ValueError, match="K must be"):
             kway_pt(density(ghz(3)), 1, K)
 
+    @pytest.mark.parametrize("K", [2.5, 3.0, 2.0, "2"])
+    def test_k_must_be_an_integer(self, K):
+        # 2.5 would otherwise select no element and return rho unchanged
+        with pytest.raises(ValueError, match="K must be an integer"):
+            kway_pt(density(random_state(3, 1)), 1, K)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_transposes_stay_hermitian_trace_one(self, seed):
         # the transposes return plain matrices, so this is the check of both
@@ -205,7 +213,8 @@ class TestKWayOracle:
                 np.testing.assert_array_equal(kway_pt(rho, p, K), expected)
                 eigs = np.linalg.eigvalsh(expected)
                 negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
-                assert abs(kway_negativity(rho, p, K) - negativity) < 1e-12
+                assert abs(kway_negativity(state, p, K) - negativity) < 1e-12
+                assert abs(dense_kway_negativity(rho, p, K) - negativity) < 1e-12
 
     @pytest.mark.parametrize("n", range(7, 11))
     def test_matches_masked_rule_at_large_n(self, n):
@@ -224,7 +233,7 @@ class TestKWayOracle:
                 for K in (2, 3):
                     eigs = np.linalg.eigvalsh(brute_force_kway_pt(rho.matrix, 3, p, K))
                     negativity = 2.0 * abs(eigs[eigs < -NEG_EIG_TOL].sum())
-                    assert abs(kway_negativity(rho, p, K) - negativity) < 1e-12
+                    assert abs(dense_kway_negativity(rho, p, K) - negativity) < 1e-12
 
 
 class TestDecomposition:

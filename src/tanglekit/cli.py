@@ -11,7 +11,10 @@ go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
 names each failed check on stderr, one line each with its residual and
 the tolerance.  ``measure --trace`` writes one JSON line per measure to
-stderr (stage, route, dim, ms), then one with the total ms and ru_maxrss.
+stderr (stage, route, dim, ms, and the worker that ran it, 0 being the
+calling thread), then one with the total ms and ru_maxrss.  ``measure``'s
+stages run on one thread per CPU that the BLAS leaves free (see
+``_stage_workers``); stdout does not depend on how many.
 ``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import os
 import reprlib
 import sys
+import threading
 import time
 import warnings
 from collections.abc import Callable
@@ -73,6 +77,10 @@ _GEN_KINDS = ("ghz", "w", "cluster4", "product", "random")
 _FONT_BLOCK_ROWS = 1024
 # about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
 _MAX_SWEEP_TRIALS = 10_000_000
+# measure's stage threads at most: each extra worker adds the working set of one stage,
+# about 26 MiB of peak RSS at n = 10 (measure --all: 56 MiB on one worker, 82 MiB on two);
+# 3 and 4 workers are unmeasured, as the measurements ran on 2 CPUs
+_MAX_STAGE_WORKERS = 4
 
 
 class CliError(Exception):
@@ -210,6 +218,90 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
     return Rendered(text)
 
 
+def _stage_workers(stages: int) -> int:
+    """Threads for measure's stages: one per CPU that the BLAS leaves free, at least one.
+
+    The BLAS thread count is OpenBLAS's own: the first positive integer among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, else one thread per CPU.
+    So an unpinned BLAS gets one worker, the calling thread: stage threads competing with
+    BLAS threads are slower (measure --all at n = 10 on 2 CPUs, unpinned: 6.6-6.8 s on two
+    workers, 4.6 s on one).
+    """
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        with contextlib.suppress(argparse.ArgumentTypeError):
+            if (threads := _natural(os.environ.get(name, ""))) > 0:
+                blas = threads
+                break
+    return max(1, min(stages, cpus // blas, _MAX_STAGE_WORKERS))
+
+
+def _run_stages(stages: list[tuple[str, str, int, Callable[[], object]]], trace: bool) -> dict:
+    """Run measure's stages on _stage_workers threads and return the report in stage order.
+
+    The stages share no state, and their eigensolves, SVDs and matrix products release
+    the GIL.  Workers, the calling thread being worker 0, claim stages in order from one
+    iterator.  After the first failure no stage starts; once every worker has stopped, the
+    failure of the earliest stage is raised, the one a loop over the stages would raise.
+    With --trace each stage's line goes to stderr in stage order as soon as every earlier
+    stage has finished.
+    """
+    values: list[object] = [None] * len(stages)
+    lines: list[str | None] = [None] * len(stages)
+    failures: dict[int, BaseException] = {}
+    claims = enumerate(stages)
+    written = 0
+    lock = threading.Lock()
+
+    def work(worker: int) -> None:
+        nonlocal written
+        while True:
+            with lock:
+                claimed = None if failures else next(claims, None)
+            if claimed is None:
+                return
+            index, (key, route, dim, compute) = claimed
+            began = time.perf_counter()
+            try:
+                values[index] = compute()
+            except BaseException as exc:  # KeyboardInterrupt too: the calling thread raises it
+                with lock:
+                    failures[index] = exc
+                return
+            if trace:
+                ms = round(1000.0 * (time.perf_counter() - began), 3)
+                with lock:
+                    lines[index] = json.dumps({"stage": key, "route": route, "dim": dim,
+                                               "ms": ms, "worker": worker})
+                    while written < len(lines) and lines[written] is not None:
+                        _diagnose(lines[written])
+                        written += 1
+
+    threads = []
+    try:
+        for worker in range(1, _stage_workers(len(stages))):
+            threads.append(threading.Thread(target=work, args=(worker,)))
+            threads[-1].start()
+        work(0)
+    except BaseException as exc:  # a thread that would not start, or an interrupt between stages
+        with lock:
+            failures.setdefault(len(stages), exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting: start no further stage
+                with lock:
+                    failures.setdefault(len(stages), exc)
+    if failures:
+        raise failures[min(failures)]
+    return {key: value for (key, *_), value in zip(stages, values)}
+
+
 def _cmd_measure(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     state = _load_state(args.state)
@@ -261,15 +353,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     stages += [(f"fonts_q{p}", *closed, lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
                for p in font_qubits]
 
-    report: dict = {}
-    for key, route, dim, compute in stages:
-        began = time.perf_counter()
-        report[key] = compute()
-        if args.trace:
-            ms = round(1000.0 * (time.perf_counter() - began), 3)
-            _diagnose(json.dumps({"stage": key, "route": route, "dim": dim, "ms": ms}))
-
-    _write_report(report)
+    _write_report(_run_stages(stages, args.trace))
     if args.trace:
         import resource  # Unix only, so imported where the trace needs it
 

@@ -194,6 +194,7 @@ class LocalUnitary:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_integer(self.target, "target qubit")
         if self.target < 1:
             raise ValueError(f"target qubit must be >= 1, got {self.target}")
         _check_unitary(_frozen_copy(self, "matrix", (2, 2)))
@@ -210,6 +211,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_count(self.n_qubits)
         m = _frozen_copy(self, "matrix", (2**self.n_qubits,) * 2)
         _check_hermitian(m)
         tr = complex(np.trace(m))

@@ -1,9 +1,13 @@
+import contextlib
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +49,17 @@ def assert_same_text(actual, expected, label=""):
     around = slice(max(at - 40, 0), at + 40)
     pytest.fail(f"{label}texts differ at offset {at} (lengths {len(actual)} and "
                 f"{len(expected)}): {actual[around]!r} != {expected[around]!r}", pytrace=False)
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def force_workers(monkeypatch, workers):
+    """Make measure run its stages on this many threads: one BLAS thread and as many CPUs."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 def write_state(tmp_path, name, *gen_args, capsys):
@@ -329,10 +344,11 @@ class TestMeasure:
         assert built == []
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_trace_leaves_stdout_alone(self, n, tmp_path, capsys):
+    def test_trace_leaves_stdout_alone(self, n, tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path, "r.json", "random", str(n), "--seed", "2", capsys=capsys)
         # --all has no fonts stage
-        for flags in (["--all"], ["--fonts", "1"]):
+        for workers, flags in itertools.product((1, 2), (["--all"], ["--fonts", "1"])):
+            force_workers(monkeypatch, workers)
             _, plain, quiet = run_cli(["measure", str(path), *flags], capsys)
             code, traced, err = run_cli(["measure", str(path), *flags, "--trace"], capsys)
             assert code == 0
@@ -353,8 +369,12 @@ class TestMeasure:
                     route = ("parity_split", 2 ** (n - 2))
                 assert (line["route"], line["dim"]) == route
                 assert line["ms"] >= 0
+                assert line["worker"] in range(workers)
             assert total["stage"] == "total"
-            assert total["ms"] >= sum(line["ms"] for line in stages)
+            # stages on different workers overlap; each worker runs its own one at a time
+            for worker in range(workers):
+                assert total["ms"] >= sum(line["ms"] for line in stages
+                                          if line["worker"] == worker)
             assert total["ru_maxrss"] > 0
         assert [line["stage"] for line in stages] == ["fonts_q1"]
 
@@ -387,6 +407,150 @@ class TestMeasure:
         _, second, _ = run_cli(["measure", str(path), "--all"], capsys)
         assert first == second
         assert first.endswith("\n")
+
+
+class TestStageWorkers:
+    """measure runs its stages on one thread per CPU that the BLAS leaves free."""
+
+    @pytest.mark.parametrize("env,cpus,workers", [
+        ({}, 2, 1),  # an unpinned OpenBLAS runs one thread per CPU
+        ({}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "64"}, 2, 1),  # more BLAS threads than CPUs
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),  # not a positive integer: OpenBLAS's default
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 1),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2),
+        ({"OMP_NUM_THREADS": "1"}, 2, 2),
+        # OpenBLAS's order: OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS, then OMP_NUM_THREADS
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 2, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "abc", "GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 64, 4),  # the cap
+        ({"OPENBLAS_NUM_THREADS": "8"}, 64, 4),
+    ])
+    def test_worker_count(self, env, cpus, workers, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)  # the affinity mask counts, not this
+        assert cli._stage_workers(100) == workers
+        assert cli._stage_workers(3) == min(workers, 3)
+        assert cli._stage_workers(1) == 1
+
+    @pytest.mark.parametrize("cpu_count,workers", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, cpu_count, workers, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli._stage_workers(100) == workers
+
+    def test_unpinned_blas_starts_no_thread(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        code, out, err = run_cli(["measure", str(path), "--all"], capsys)
+        assert (code, err, started) == (0, "", [])
+        assert len(json.loads(out)) == 2 + 4 + 4 * 3  # tangles, negativities, K-way values
+
+    @pytest.mark.parametrize("kind", ["random", "ghz", "w", "product"])
+    def test_stdout_does_not_depend_on_workers(self, kind, tmp_path, capsys, monkeypatch):
+        baseline = threading.active_count()
+        for n in range(2, 9):
+            path = write_state(tmp_path, f"{kind}{n}.json", kind, str(n), "--seed", str(n),
+                               capsys=capsys)
+            outputs = []
+            for workers in (1, 2):
+                force_workers(monkeypatch, workers)
+                code, out, err = run_cli(["measure", str(path), "--all"], capsys)
+                assert (code, err) == (0, "")
+                assert threading.active_count() == baseline
+                outputs.append(out)
+            assert_same_text(outputs[1], outputs[0], f"n = {n}: ")
+
+    def test_four_workers_switching_often(self, tmp_path, capsys, monkeypatch):
+        # more workers than this test needs CPUs, and a thread switch every microsecond
+        path = write_state(tmp_path, "r6.json", "random", "6", capsys=capsys)
+        argv = ["measure", str(path), "--all", "--trace"]
+        force_workers(monkeypatch, 1)
+        code, expected, _ = run_cli(argv, capsys)
+        assert code == 0
+        force_workers(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                code, out, err = run_cli(argv, capsys)
+                assert (code, out) == (0, expected)
+                stages = [json.loads(line) for line in err.splitlines()][:-1]
+                assert [line["stage"] for line in stages] == list(json.loads(expected))
+                assert {line["worker"] for line in stages} <= set(range(4))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earliest_failing_stage_gives_the_error(self, workers, tmp_path, capsys,
+                                                    monkeypatch):
+        # on two workers the later stage fails while the earlier one still runs
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        force_workers(monkeypatch, workers)
+        baseline = threading.active_count()
+        later_failed = threading.Event()
+        started, threads = [], set()
+
+        def failing(state, p, k):
+            started.append(k)
+            threads.add(threading.get_ident())
+            if k == 3:
+                later_failed.set()
+                raise RuntimeError("later stage")
+            if workers == 2:
+                assert later_failed.wait(timeout=30)
+                time.sleep(0.05)  # the later failure is recorded first
+            raise RuntimeError("earlier stage")
+
+        monkeypatch.setattr("tanglekit.cli.kway_negativity", failing)
+        argv = ["measure", str(path), "--kway", "1,2", "--kway", "1,3", "--kway", "1,4"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (5, "")
+        assert err == "tanglekit: internal error: RuntimeError: earlier stage\n"
+        # a loop over the stages would stop at the first; no stage starts after a failure
+        assert sorted(started) == [2, 3][:workers]
+        assert len(threads) == workers
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interrupt_propagates_and_no_later_stage_starts(self, workers, tmp_path, capsys,
+                                                           monkeypatch):
+        path = write_state(tmp_path, "r5.json", "random", "5", capsys=capsys)
+        force_workers(monkeypatch, workers)
+        baseline = threading.active_count()
+        started = []
+
+        def interrupted(state, p, k):
+            started.append(k)
+            if k == 2:
+                raise KeyboardInterrupt
+            time.sleep(0.2)  # a stage claimed before the interrupt runs on past it
+            return 0.0
+
+        monkeypatch.setattr("tanglekit.cli.kway_negativity", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["measure", str(path), "--kway", "1,2", "--kway", "1,3", "--kway", "1,4",
+                  "--kway", "1,5"])
+        assert capsys.readouterr() == ("", "")
+        # the interrupted stage, and on two workers at most the one the other worker held
+        assert 2 in started and set(started) <= {2, 3}
+        assert len(started) <= workers
+        assert threading.active_count() == baseline
 
 
 class TestCheck:
@@ -920,6 +1084,55 @@ class TestReportFormatting:
 
 
 class TestSubprocessEntryPoint:
+    # run() freezes the heap before exit; stdout, stderr and exit code stay those of main()
+    ENTRIES = {
+        "run": "from tanglekit.__main__ import run; run()",
+        "main": "import sys; from tanglekit.cli import main; sys.exit(main())",
+    }
+
+    @pytest.mark.parametrize("argv,patch,code", [
+        (["gen", "ghz", "3"], "", 0),
+        (["measure", "STATE", "--all"], "", 0),
+        (["check", "STATE", "--decomposition", "--lu-sweep", "50,3"], "", 0),
+        (["--version"], "", 0),
+        (["check", "STATE", "--lu-sweep", "5,1"],
+         "tanglekit.cli.lu_invariance_sweep = lambda state, trials, seed: 0.5", 1),
+        (["gen", "w", "1"], "", 2),
+        (["measure"], "", 2),
+        (["measure", "MISSING", "--tangle3"], "", 3),
+        (["gen", "ghz", "3", "FULL"], "", 3),
+        (["measure", "BAD", "--tangle3"], "", 4),
+        (["measure", "STATE", "--tangle3"],
+         "tanglekit.cli.three_tangle = lambda state: 1 / 0", 5),
+    ])
+    def test_run_exits_as_main(self, argv, patch, code, tmp_path):
+        state, bad = tmp_path / "ghz3.json", tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["gen", "ghz", "3", "--out", str(state)]) == 0
+        names = {"STATE": str(state), "BAD": str(bad), "MISSING": str(tmp_path / "no.json")}
+        results = []
+        with contextlib.ExitStack() as stack:
+            stdout = subprocess.PIPE
+            if "FULL" in argv:  # a failed stdout write
+                if not os.path.exists("/dev/full"):
+                    pytest.skip("no /dev/full device")
+                stdout = stack.enter_context(open("/dev/full", "wb"))
+            argv = [names.get(arg, arg) for arg in argv if arg != "FULL"]
+            for entry in self.ENTRIES.values():
+                script = f"import tanglekit.cli; {patch}; {entry}" if patch else entry
+                proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout,
+                                      stderr=subprocess.PIPE, timeout=120)
+                results.append((proc.returncode, proc.stdout, proc.stderr))
+        assert results[0] == results[1]
+        assert results[0][0] == code, results[0][2]
+
+    def test_console_script_runs_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"tanglekit": "tanglekit.__main__:run"}
+
     def test_module_invocation_matches_contract(self, tmp_path):
         path = tmp_path / "ghz3.json"
         gen = subprocess.run(

@@ -185,7 +185,7 @@ class TestApplyLocalUnitary:
             apply_local_unitary(ghz(2), LocalUnitary(1, np.eye(2)), LocalUnitary(3, np.eye(2)))
 
     def test_target_must_be_an_integer(self):
-        # 1.5 is in range, and would otherwise fail in a reshape with a TypeError
+        # 1.5 is in range; LocalUnitary rejects it before a reshape can fail with a TypeError
         with pytest.raises(ValueError, match="qubit must be an integer, got 1.5"):
             apply_local_unitary(random_state(3, 1), LocalUnitary(1.5, np.eye(2)))
 
@@ -342,6 +342,20 @@ class TestValidation:
         # 3.0 would otherwise be accepted, and the tangles, negativities and fonts fail later
         with pytest.raises(ValueError, match=f"qubit count must be an integer, got {n!r}"):
             PureState(n, random_state(3, 1).amplitudes)
+
+    @pytest.mark.parametrize("n,matrix,message", [
+        (3.0, density(random_state(3, 1)).matrix, "qubit count must be an integer, got 3.0"),
+        (0, [[1.0]], "requires 1 <= n <= 10 qubits, got 0"),
+    ])
+    def test_density_operator_checks_its_qubit_count(self, n, matrix, message):
+        # 3.0 passed the shape check, and kway_pt then failed with a TypeError
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(n, matrix)
+
+    @pytest.mark.parametrize("target", [1.5, 1.0, "1"])
+    def test_local_unitary_target_must_be_an_integer(self, target):
+        with pytest.raises(ValueError, match=f"target qubit must be an integer, got {target!r}"):
+            LocalUnitary(target, np.eye(2))
 
     def test_local_unitary_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):

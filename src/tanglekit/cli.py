@@ -10,11 +10,11 @@ Reports are a single JSON object on stdout, newline-terminated; diagnostics
 go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
 names each failed check on stderr, one line each with its residual and
-the tolerance.  ``measure --trace`` writes one JSON line per measure to
-stderr (stage, route, dim, ms, and the worker that ran it, 0 being the
-calling thread), then one with the total ms and ru_maxrss.  ``measure``'s
-stages run on one thread per CPU that the BLAS leaves free (see
-``_stage_workers``); stdout does not depend on how many.
+the tolerance.  ``measure``'s stages run on one thread per CPU that the BLAS
+leaves free (see ``_stage_workers``); stdout does not depend on how many.
+``measure --trace`` writes one JSON line per measure to stderr once all have
+finished (stage, route, dim, ms, and the worker that ran it, 0 being the
+calling thread), then one with the total ms and ru_maxrss after the report.
 ``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
@@ -240,66 +240,53 @@ def _stage_workers(stages: int) -> int:
     return max(1, min(stages, cpus // blas, _MAX_STAGE_WORKERS))
 
 
-def _run_stages(stages: list[tuple[str, str, int, Callable[[], object]]], trace: bool) -> dict:
-    """Run measure's stages on _stage_workers threads and return the report in stage order.
+def _run_stages(computations: list[Callable[[], object]]) -> list[tuple[object, float, int]]:
+    """Run measure's stages on _stage_workers threads; return (value, ms, worker) per stage.
 
-    The stages share no state, and their eigensolves, SVDs and matrix products release
-    the GIL.  Workers, the calling thread being worker 0, claim stages in order from one
-    iterator.  After the first failure no stage starts; once every worker has stopped, the
-    failure of the earliest stage is raised, the one a loop over the stages would raise.
-    With --trace each stage's line goes to stderr in stage order as soon as every earlier
-    stage has finished.
+    The stages share no state, and their eigensolves, SVDs and matrix products release the
+    GIL.  Workers, the calling thread being worker 0, claim stages in order from one iterator
+    and write only the results of their own stages.  After the first failure no stage starts;
+    once every worker has stopped, the earliest stage's failure is raised, as a loop would.
     """
-    values: list[object] = [None] * len(stages)
-    lines: list[str | None] = [None] * len(stages)
-    failures: dict[int, BaseException] = {}
-    claims = enumerate(stages)
-    written = 0
+    results: list = [None] * len(computations)
+    claims = iter(range(len(computations)))
+    failed = threading.Event()
     lock = threading.Lock()
 
     def work(worker: int) -> None:
-        nonlocal written
         while True:
+            # claim or refuse in one step: a worker that read the flag after taking a claim
+            # would drop that stage, and a later stage's error could hide its own failure
             with lock:
-                claimed = None if failures else next(claims, None)
-            if claimed is None:
+                index = None if failed.is_set() else next(claims, None)
+            if index is None:
                 return
-            index, (key, route, dim, compute) = claimed
             began = time.perf_counter()
             try:
-                values[index] = compute()
+                value = computations[index]()
             except BaseException as exc:  # KeyboardInterrupt too: the calling thread raises it
-                with lock:
-                    failures[index] = exc
+                results[index] = exc
+                failed.set()
                 return
-            if trace:
-                ms = round(1000.0 * (time.perf_counter() - began), 3)
-                with lock:
-                    lines[index] = json.dumps({"stage": key, "route": route, "dim": dim,
-                                               "ms": ms, "worker": worker})
-                    while written < len(lines) and lines[written] is not None:
-                        _diagnose(lines[written])
-                        written += 1
+            results[index] = (value, round(1000.0 * (time.perf_counter() - began), 3), worker)
 
     threads = []
     try:
-        for worker in range(1, _stage_workers(len(stages))):
-            threads.append(threading.Thread(target=work, args=(worker,)))
-            threads[-1].start()
-        work(0)
-    except BaseException as exc:  # a thread that would not start, or an interrupt between stages
-        with lock:
-            failures.setdefault(len(stages), exc)
-    for thread in threads:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # an interrupt while waiting: start no further stage
-                with lock:
-                    failures.setdefault(len(stages), exc)
-    if failures:
-        raise failures[min(failures)]
-    return {key: value for (key, *_), value in zip(stages, values)}
+        for worker in range(1, _stage_workers(len(computations))):
+            thread = threading.Thread(target=work, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        work(0)  # returns once the claims are used up or refused: no stage starts after it
+    except BaseException:  # a thread that would not start, or an interrupt between stages
+        failed.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:  # the stages before the earliest failure all ran
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -353,7 +340,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     stages += [(f"fonts_q{p}", *closed, lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
                for p in font_qubits]
 
-    _write_report(_run_stages(stages, args.trace))
+    results = _run_stages([compute for *_, compute in stages])
+    if args.trace:
+        for (key, route, dim, _), (_, ms, worker) in zip(stages, results):
+            _diagnose(json.dumps(dict(stage=key, route=route, dim=dim, ms=ms, worker=worker)))
+    _write_report({key: value for (key, *_), (value, *_) in zip(stages, results)})
     if args.trace:
         import resource  # Unix only, so imported where the trace needs it
 
@@ -492,5 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m tanglekit.cli exits as python -m tanglekit does
+    from .__main__ import run
+    run()

@@ -230,10 +230,17 @@ class DensityOperator:
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
     _check_finite(raw, "amplitudes")
-    norm = float(np.linalg.norm(raw))
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(raw))
+    scale = 1.0
+    if norm in (0.0, math.inf) and raw.any():  # nonzero, but its norm leaves the float range
+        parts = raw.view(np.float64)  # scaled as floats: a complex divide by a subnormal fails
+        scale = float(np.abs(parts).max())
+        raw = (parts / scale).view(np.complex128)
+        norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ValueError("all-zero amplitude list cannot be normalized")
-    return raw / norm, abs(norm - 1.0)
+    return raw / norm, abs(scale * norm - 1.0)
 
 
 def make_state(n: int, entries: Iterable[tuple[str, complex]]) -> PureState:

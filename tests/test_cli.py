@@ -236,6 +236,21 @@ class TestMeasure:
         assert code == 4
         assert "all-zero" in err
 
+    @pytest.mark.parametrize("amplitudes,negativity,correction", [
+        ([("00", 1e-200, 0), ("11", 1e-200, 0)], "1.0", "1.000e+00"),  # the norm underflows
+        ([("01", 1e-320, 0)], "0.0", "1.000e+00"),  # a subnormal amplitude
+        ([("00", 1e308, 1e308)], "0.0", "1.414e+308"),  # the norm overflows
+    ])
+    def test_norm_outside_the_float_range_is_normalized(self, amplitudes, negativity,
+                                                        correction, tmp_path, capsys):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"n_qubits": 2, "amplitudes": [
+            {"index": index, "re": re, "im": im} for index, re, im in amplitudes]}))
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert (code, out) == (0, f'{{"negativity_q1": {negativity}}}\n')
+        assert err == ("tanglekit: warning: state file required a normalization correction "
+                       f"of {correction}\n")
+
     def test_non_finite_amplitude_is_bad_state(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         path.write_text(
@@ -551,6 +566,41 @@ class TestStageWorkers:
         assert 2 in started and set(started) <= {2, 3}
         assert len(started) <= workers
         assert threading.active_count() == baseline
+
+    def test_thread_that_will_not_start_gives_exit_5(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        force_workers(monkeypatch, 2)
+        baseline = threading.active_count()
+        started = []
+        for name in ("four_tangle", "four_invariant", "global_negativity", "kway_negativity"):
+            monkeypatch.setattr(f"tanglekit.cli.{name}", lambda *args: started.append(args))
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run_cli(["measure", str(path), "--all"], capsys)
+        assert (code, out, started) == (5, "", [])
+        assert err == "tanglekit: internal error: RuntimeError: can't start new thread\n"
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_stage_with_trace_writes_only_its_error(self, workers, tmp_path, capsys,
+                                                          monkeypatch):
+        # the negativity stages finish before the K-way stage fails
+        path = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        force_workers(monkeypatch, workers)
+
+        def failing(state, p, k):
+            time.sleep(0.05)
+            raise RuntimeError("K-way stage")
+
+        monkeypatch.setattr("tanglekit.cli.kway_negativity", failing)
+        argv = ["measure", str(path), "--negativity", "1", "--negativity", "2", "--kway", "1,3",
+                "--trace"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (5, "")
+        assert err == "tanglekit: internal error: RuntimeError: K-way stage\n"
 
 
 class TestCheck:
@@ -1084,10 +1134,16 @@ class TestReportFormatting:
 
 
 class TestSubprocessEntryPoint:
-    # run() freezes the heap before exit; stdout, stderr and exit code stay those of main()
+    # run() freezes the heap before exit; stdout, stderr, exit code and --out file stay those
+    # of main()
     ENTRIES = {
         "run": "from tanglekit.__main__ import run; run()",
         "main": "import sys; from tanglekit.cli import main; sys.exit(main())",
+        # python -m tanglekit.cli, as runpy runs it after a patch: runpy warns that the patch
+        # imported tanglekit.cli first
+        "-m tanglekit.cli": "import runpy, warnings; warnings.filterwarnings('ignore', "
+                            "category=RuntimeWarning, module='runpy'); runpy.run_module("
+                            "'tanglekit.cli', run_name='__main__', alter_sys=True)",
     }
 
     @pytest.mark.parametrize("argv,patch,code", [
@@ -1104,12 +1160,15 @@ class TestSubprocessEntryPoint:
         (["measure", "BAD", "--tangle3"], "", 4),
         (["measure", "STATE", "--tangle3"],
          "tanglekit.cli.three_tangle = lambda state: 1 / 0", 5),
+        (["gen", "ghz", "3", "--out", "OUT"], "", 0),
+        (["gen", "ghz", "3", "--out", "NO_DIR"], "", 3),
     ])
     def test_run_exits_as_main(self, argv, patch, code, tmp_path):
-        state, bad = tmp_path / "ghz3.json", tmp_path / "bad.json"
+        state, bad, out = tmp_path / "ghz3.json", tmp_path / "bad.json", tmp_path / "out.json"
         bad.write_text("{")
         assert main(["gen", "ghz", "3", "--out", str(state)]) == 0
-        names = {"STATE": str(state), "BAD": str(bad), "MISSING": str(tmp_path / "no.json")}
+        names = {"STATE": str(state), "BAD": str(bad), "MISSING": str(tmp_path / "no.json"),
+                 "OUT": str(out), "NO_DIR": str(tmp_path / "no" / "out.json")}
         results = []
         with contextlib.ExitStack() as stack:
             stdout = subprocess.PIPE
@@ -1122,9 +1181,12 @@ class TestSubprocessEntryPoint:
                 script = f"import tanglekit.cli; {patch}; {entry}" if patch else entry
                 proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=stdout,
                                       stderr=subprocess.PIPE, timeout=120)
-                results.append((proc.returncode, proc.stdout, proc.stderr))
-        assert results[0] == results[1]
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                results.append((proc.returncode, proc.stdout, proc.stderr, written))
+        assert results[1:] == results[:1] * (len(results) - 1)
         assert results[0][0] == code, results[0][2]
+        assert results[0][3] == (state.read_bytes() if str(out) in argv else None)
 
     def test_console_script_runs_run(self):
         tomllib = pytest.importorskip("tomllib")

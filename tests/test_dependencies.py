@@ -6,7 +6,9 @@ It also reads every call in ``src``: each eigensolve and SVD goes through
 one of the three ``spectra`` functions that check their input, and which
 the benchmark's tracer wraps.  And every write to stdout or stderr in
 ``src`` goes through ``cli._write_report`` or ``cli._diagnose``, which keep
-the exit codes when a stream fails and a report whole on stdout.
+the exit codes when a stream fails and a report whole on stdout.  And every
+thread, lock or other ``threading`` object in ``src`` is made in
+``cli._run_stages``, the one place that shares state between threads.
 """
 import ast
 from pathlib import Path
@@ -18,6 +20,7 @@ SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("
 FACTORISERS = {"hermitian_eigenvalues", "hermitian_eigenpairs", "singular_value_decomposition"}
 WRITERS = {"stdout": ("tanglekit/cli.py", "_write_report"),
            "stderr": ("tanglekit/cli.py", "_diagnose")}
+THREADER = ("tanglekit/cli.py", "_run_stages")
 
 
 def imported_modules(tree):
@@ -162,4 +165,56 @@ def test_writer_guard_sees_every_form():
         ("report", "stdout"), ("report", "stdout"), ("report", "stdout"), ("report", "stdout"),
         ("warn", "stderr"), ("warn", "stderr"), ("warn", "stderr"),
         (None, "stderr"), (None, "stdout"),
+    ]
+
+
+def threading_uses(tree, owner=None):
+    """(outermost enclosing function, name) for each ``threading`` attribute used in a module.
+
+    ``threading.<name>`` counts, and so do a ``from threading import`` and an
+    ``import threading as``, since their later uses would pass unseen.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from threading_uses(node, owner or node.name)
+            continue
+        names = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "threading":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [f"as {alias.asname}" for alias in node.names
+                     if alias.name == "threading" and alias.asname]
+        yield from ((owner, name) for name in names)
+        yield from threading_uses(node, owner)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_threads_live_in_the_stage_runner(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = path.relative_to(ROOT / "src").as_posix()
+    stray = [use for use in threading_uses(tree) if (module, use[0]) != THREADER]
+    assert stray == [], f"{module} uses threading outside {THREADER}"
+
+
+def test_threading_guard_sees_every_form():
+    tree = ast.parse(
+        "import threading, threading as t\n"
+        "from threading import Lock\n"
+        "def run_stages(work):\n"
+        "    lock = threading.Lock()\n"
+        "    def worker():\n"
+        "        with lock:\n"
+        "            threading.get_ident()\n"
+        "    t.Thread(target=worker).start()\n"
+        "def other():\n"
+        "    return threading.Event\n"
+        "top = threading.active_count()\n"
+    )
+    assert sorted(threading_uses(tree), key=str) == [
+        ("other", "Event"), ("run_stages", "Lock"), ("run_stages", "get_ident"),
+        (None, "Lock"), (None, "active_count"), (None, "as t"),
     ]

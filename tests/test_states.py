@@ -49,6 +49,20 @@ class TestMakeState:
         with pytest.raises(ValueError, match="all-zero"):
             make_state(2, [("01", 0.0)])
 
+    @pytest.mark.parametrize("entries,expected", [
+        ([("00", 1e-200), ("11", 1e-200)], [("00", 1), ("11", 1)]),  # the norm underflows
+        ([("01", 1e-320)], [("01", 1)]),  # a subnormal amplitude
+        ([("10", 1e308 + 1e308j)], [("10", 1 + 1j)]),  # the norm overflows
+        ([("00", 1e308), ("11", -3e307j)], [("00", 1), ("11", -0.3j)]),
+    ])
+    def test_nonzero_norm_outside_the_float_range(self, entries, expected):
+        # the pytest configuration makes a NumPy overflow warning an error
+        s = make_state(2, entries)
+        np.testing.assert_allclose(s.amplitudes, make_state(2, expected).amplitudes,
+                                   rtol=1e-15, atol=0)
+        norm = np.sqrt(sum(abs(complex(a) / 1e300) ** 2 for _, a in entries)) * 1e300
+        assert s.norm_shift == pytest.approx(abs(norm - 1.0), rel=1e-12)
+
     def test_wrong_length_bit_string(self):
         with pytest.raises(ValueError, match="length"):
             make_state(2, [("010", 1.0)])

@@ -15,7 +15,9 @@ leaves free (see ``_stage_workers``); stdout does not depend on how many.
 ``measure --trace`` writes one JSON line per measure to stderr once all have
 finished (stage, route, dim, ms, and the worker that ran it, 0 being the
 calling thread), then one with the total ms and ru_maxrss after the report.
-``gen product`` draws ``states.random_product_state``.
+Each flag's fields are split here and checked by the library function that
+owns their rule (see ``states``), whose ValueError ``_checked`` makes a usage
+error.  ``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
 
@@ -49,6 +51,8 @@ from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .spectra import _CLOSED_FORM, _kway_route  # the routes measure --trace names
 from .states import (
     PureState,
+    _ascii_integer,
+    _check_kway,
     cluster4,
     density,
     ghz,
@@ -72,7 +76,10 @@ EXIT_INTERNAL = 5
 
 CHECK_TOL = 1e-8
 
-_GEN_KINDS = ("ghz", "w", "cluster4", "product", "random")
+# gen's kinds in --help order: constructors of (n, seed) that check n (cluster4 in _cmd_gen)
+_GENERATORS = {"ghz": lambda n, seed: ghz(n), "w": lambda n, seed: w_state(n),
+               "cluster4": lambda n, seed: cluster4(), "product": random_product_state,
+               "random": random_state}
 # rows of a fonts report formatted by one % call
 _FONT_BLOCK_ROWS = 1024
 # about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
@@ -89,23 +96,27 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_qubit(text: str, n: int) -> int:
+def _checked(check: Callable[..., object], *args: object) -> object:
+    """check(*args), a library call whose ValueError on bad input becomes a usage error."""
     try:
-        return parse_qubit(text, n)
+        return check(*args)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _natural(text: str) -> int:
-    """The integer of a string of ASCII digits, read as parse_qubit reads digits.
+def _fields(text: str, flag: str, spec: str) -> list[str]:
+    """The comma-separated fields of a flag's value, as many as spec (such as 'P,K') names."""
+    fields = text.split(",")
+    if len(fields) != spec.count(",") + 1:
+        raise CliError(f"{flag} expects {spec}, got {reprlib.repr(text)}")
+    return fields
 
-    int() alone would also read '٣', fullwidth '３', '+3', '-3' and '0_3'.
-    """
-    digits = text.strip()
-    with contextlib.suppress(ValueError):  # more digits than int() reads
-        if digits.isascii() and digits.isdigit():
-            return int(digits)
-    raise argparse.ArgumentTypeError(f"invalid non-negative integer: {reprlib.repr(text)}")
+
+def _natural(text: str) -> int:
+    """The argparse type of a non-negative integer, read by states._ascii_integer."""
+    if (value := _ascii_integer(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid non-negative integer: {reprlib.repr(text)}")
+    return value
 
 
 def _diagnose(line: str) -> None:
@@ -163,27 +174,11 @@ def _write_report(report: dict, path: str | None = None) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
-    if kind == "cluster4":
-        if n not in (None, 4):
-            raise CliError("cluster4 is a 4-qubit state")
-        state = cluster4()
-    elif n is None:
+    if kind == "cluster4" and n not in (None, 4):
+        raise CliError("cluster4 is a 4-qubit state")
+    if kind != "cluster4" and n is None:
         raise CliError(f"kind {kind!r} requires a qubit count")
-    else:
-        # the constructors check n before allocating or drawing anything
-        try:
-            if kind == "ghz":
-                state = ghz(n)
-            elif kind == "w":
-                state = w_state(n)
-            elif kind == "random":
-                state = random_state(n, args.seed)
-            else:
-                state = random_product_state(n, args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-
-    _write_report(state_to_payload(state), args.out)
+    _write_report(state_to_payload(_checked(_GENERATORS[kind], n, args.seed)), args.out)
     return EXIT_OK
 
 
@@ -231,12 +226,9 @@ def _stage_workers(stages: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    blas = cpus
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        with contextlib.suppress(argparse.ArgumentTypeError):
-            if (threads := _natural(os.environ.get(name, ""))) > 0:
-                blas = threads
-                break
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    # the first positive setting: filter drops 0 and None (unset or not ASCII digits)
+    blas = next(filter(None, (_ascii_integer(os.environ.get(name, "")) for name in names)), cpus)
     return max(1, min(stages, cpus // blas, _MAX_STAGE_WORKERS))
 
 
@@ -301,21 +293,16 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if args.tangle4 and n != 4:
         raise CliError(f"--tangle4 requires a 4-qubit state, got n = {n}")
 
-    neg_qubits = sorted({_parse_qubit(t, n) for t in args.negativity})
+    neg_qubits = sorted({_checked(parse_qubit, t, n) for t in args.negativity})
     kway_pairs = set()
     for text in args.kway:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise CliError(f"--kway expects P,K, got {reprlib.repr(text)}")
-        p = _parse_qubit(parts[0], n)
-        try:
-            k = _natural(parts[1])
-        except argparse.ArgumentTypeError:
-            raise CliError(f"--kway expects an integer K, got {reprlib.repr(parts[1])}") from None
-        if not 2 <= k <= n:
-            raise CliError(f"K must be in [2, {n}], got {reprlib.repr(k)}")
+        p_text, k_text = _fields(text, "--kway", "P,K")
+        p = _checked(parse_qubit, p_text, n)
+        if (k := _ascii_integer(k_text)) is None:
+            raise CliError(f"--kway expects an integer K, got {reprlib.repr(k_text)}")
+        _checked(_check_kway, k, n)
         kway_pairs.add((p, k))
-    font_qubits = sorted({_parse_qubit(t, n) for t in args.fonts})
+    font_qubits = sorted({_checked(parse_qubit, t, n) for t in args.fonts})
     if args.all:
         neg_qubits = list(range(1, n + 1))
         kway_pairs = {(p, k) for p in range(1, n + 1) for k in range(2, n + 1)}
@@ -367,35 +354,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.product_identity and n != 3:
         raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
     if args.covariance:
-        parts = args.covariance.split(",")
-        if len(parts) != 3:
-            raise CliError(f"--covariance expects Q,RE,IM, got {reprlib.repr(args.covariance)}")
+        q_text, *floats = _fields(args.covariance, "--covariance", "Q,RE,IM")
         # float() alone would also read non-ASCII digits like '١.٥' and underscores like '1_0'
         try:
-            if not all(t.isascii() and "_" not in t for t in parts[1:]):
+            if not all(t.isascii() and "_" not in t for t in floats):
                 raise ValueError
-            param = complex(float(parts[1]), float(parts[2]))
+            param = complex(*map(float, floats))
         except ValueError:
             raise CliError("invalid --covariance parameter: expected re,im floats") from None
         if n not in (3, 4):
             raise CliError(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
-        qubit = _parse_qubit(parts[0], n)
+        qubit = _checked(parse_qubit, q_text, n)
         if n == 3 and qubit != 2:
             raise CliError("three-qubit covariance relations are stated for qubit B")
-        try:
-            su2_rotation(param)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        _checked(su2_rotation, param)
     if args.lu_sweep:
         if n not in (3, 4):
             raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
-        parts = args.lu_sweep.split(",")
-        if len(parts) != 2:
-            raise CliError(f"--lu-sweep expects TRIALS,SEED, got {reprlib.repr(args.lu_sweep)}")
-        try:
-            trials, seed = _natural(parts[0]), _natural(parts[1])
-        except argparse.ArgumentTypeError:
-            raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED") from None
+        trials, seed = map(_ascii_integer, _fields(args.lu_sweep, "--lu-sweep", "TRIALS,SEED"))
+        if trials is None or seed is None:
+            raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED")
         if trials > _MAX_SWEEP_TRIALS:
             raise CliError(f"--lu-sweep TRIALS must be at most {_MAX_SWEEP_TRIALS:,}, "
                            f"got {reprlib.repr(trials)}")
@@ -441,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a state file")
-    gen.add_argument("kind", choices=_GEN_KINDS)
+    gen.add_argument("kind", choices=_GENERATORS)
     gen.add_argument("n", type=_natural, nargs="?", default=None, help="number of qubits")
     gen.add_argument("--seed", type=_natural, default=0, help="seed for random/product kinds")
     gen.add_argument("--out", "-o", default=None, help="output path (default: stdout)")

@@ -21,6 +21,7 @@ import numpy as np
 from .states import (
     LocalUnitary,
     PureState,
+    _check_integer,
     _haar_rotated,
     apply_local_unitary,
     parse_qubit,
@@ -77,11 +78,11 @@ class CovarianceReport:
     prefactor_used: float
 
 
-# (u, v) of each font in qubit A's minor matrix d[u, v] (A = 0 with other bits u, A = 1 with v):
-# three_way, b_fixed, c_fixed of 3 qubits; four_way, three_way_c, three_way_b (row-major) of 4
-_THREE_PICKS = np.array([(0, 3), (1, 2), (0, 1), (2, 3), (0, 2), (1, 3)]).T
-_FOUR_PICKS = np.array([(0, 7), (1, 6), (2, 5), (3, 4), (0, 5), (1, 4), (2, 7), (3, 6),
-                        (0, 3), (1, 2), (4, 7), (5, 6)]).T
+# (u, v) of each font in qubit A's minor matrix d[u, v] (A = 0 with other bits u, A = 1 with v),
+# v = u ^ m with m the other qubits not held fixed: per m, three_way, b_fixed, c_fixed of
+# 3 qubits and four_way, three_way_c, three_way_b of 4, each in ascending u with u < v
+_THREE_PICKS = np.array([(u, u ^ m) for m in (3, 1, 2) for u in range(4) if u < u ^ m]).T
+_FOUR_PICKS = np.array([(u, u ^ m) for m in (7, 5, 3) for u in range(8) if u < u ^ m]).T
 
 
 def _fonts(state: PureState, n: int) -> list[complex]:
@@ -266,6 +267,7 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
         tangles = lambda *fonts: _four_tangles(_four_invariants(*fonts))
     else:
         raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
+    _check_integer(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be non-negative")
     rng, worst = np.random.default_rng(seed), 0.0

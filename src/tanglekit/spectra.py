@@ -350,9 +350,9 @@ def enumerate_fonts(state: PureState, p: int) -> Fonts:
     det = d[u, v]
     # hypot is Python's abs(complex); np.abs can differ in the last bit
     magnitude = np.hypot(det.real, det.imag)
-    # flat labels laid out as the amplitude rows in font_minors
-    index = np.arange(2**n).reshape(2 ** (p - 1), 2, 2 ** (n - p))
-    i, j = index[:, 0].reshape(-1)[u], index[:, 1].reshape(-1)[v]
+    # the flat labels of the amplitude rows that font_minors reads
+    rows = _rows(np.arange(2**n), n, p)
+    i, j = rows[0][u], rows[1][v]
     # the labels differ in bit p and in the rest bits u, v
     k = 1 + _rest_distance(n - 1)[u, v].astype(np.int64)
     return Fonts(p, i, j, k, det, -magnitude, magnitude <= FONT_ZERO_TOL)

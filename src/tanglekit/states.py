@@ -7,10 +7,14 @@ the most significant bit.  Qubits are addressed 1-based throughout, so the
 amplitude stored for ``"i1 i2 ... in"`` is retrieved by that same string.
 
 Every type in this module is an immutable value after construction; no
-operation mutates its inputs.
+operation mutates its inputs.  Each input rule has its one check here:
+``_ascii_integer`` reads ASCII digits, ``parse_qubit`` a qubit label, and
+``_check_count``, ``_check_qubit``, ``_check_kway`` and ``su2_rotation`` check a
+qubit count, a qubit, a K and a rotation parameter for every module and the CLI.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import reprlib
@@ -51,16 +55,24 @@ def index_to_bits(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
 
+def _ascii_integer(text: str) -> int | None:
+    """The integer of a string of ASCII digits, surrounding whitespace aside; else None."""
+    digits = text.strip()
+    # int() alone would also read '٣', fullwidth '３', '+3', '-3' and '0_3'
+    with contextlib.suppress(ValueError):  # also more digits than int() reads
+        if digits.isascii() and digits.isdigit():
+            return int(digits)
+    return None
+
+
 def parse_qubit(label: str | int, n: int) -> int:
     """Qubit of an ASCII letter (A is qubit 1) or of ASCII digits (1-based), checked against n."""
     text = str(label).strip()
-    # isalpha() and int() alone would also take 'ß' (two letters upper-cased) or fullwidth digits
-    try:
-        if not text.isascii() or not (text.isdigit() or len(text) == 1 and text.isalpha()):
-            raise ValueError
-        q = int(text) if text.isdigit() else ord(text.upper()) - ord("A") + 1
-    except ValueError:  # also more digits than int() reads (sys.get_int_max_str_digits())
-        raise ValueError(f"invalid qubit {reprlib.repr(label)}") from None
+    # isalpha() alone would also take 'ß', two letters once upper-cased
+    if text.isascii() and len(text) == 1 and text.isalpha():
+        q = ord(text.upper()) - ord("A") + 1
+    elif (q := _ascii_integer(text)) is None:
+        raise ValueError(f"invalid qubit {reprlib.repr(label)}")
     if not 1 <= q <= n:
         raise ValueError(f"qubit {reprlib.repr(label)} out of range for {n} qubits")
     return q
@@ -98,6 +110,13 @@ def _check_qubit(q: int, n: int) -> None:
     _check_integer(q, "qubit")
     if not 1 <= q <= n:
         raise ValueError(f"qubit {q} out of range for {n} qubits")
+
+
+def _check_kway(K: int, n: int) -> None:
+    """Raise unless K is an integer in [2, n]: a K of the K-way transposes of n qubits."""
+    _check_integer(K, "K")
+    if not 2 <= K <= n:
+        raise ValueError(f"K must be in [2, {n}], got {reprlib.repr(K)}")
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -401,8 +420,10 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityOperator:
     """Unit-trace state operator of the kept qubits (1-based, in the given order)."""
     n = state.n_qubits
     keep = list(keep)
-    if len(set(keep)) != len(keep) or any(not 1 <= q <= n for q in keep):
-        raise ValueError(f"keep must be distinct qubits in [1, {n}], got {keep}")
+    for q in keep:
+        _check_qubit(q, n)
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"keep must be distinct qubits, got {reprlib.repr(keep)}")
     tensor = state.amplitudes.reshape((2,) * n)
     moved = np.moveaxis(tensor, [q - 1 for q in keep], range(len(keep)))
     mat = moved.reshape(2 ** len(keep), -1)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityOperator, _check_integer, _check_qubit
+from .states import DensityOperator, _check_kway, _check_qubit
 
 
 @lru_cache(maxsize=None)
@@ -51,12 +51,10 @@ def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _kway_selection(n: int, K: int, distance: np.ndarray) -> np.ndarray:
     """Bool (2**(n-1), 2**(n-1)) table of the rest-label pairs the K-way transpose selects.
 
-    distance is the rest distance table in the labels' order.  K must be an
-    integer in [2, n]; the K-way transposes and negativities all check it here.
+    distance is the rest distance table in the labels' order.  The K-way transposes
+    and negativities all check K here, by ``states._check_kway``.
     """
-    _check_integer(K, "K")
-    if not 2 <= K <= n:
-        raise ValueError(f"K must be in [2, {n}], got {K}")
+    _check_kway(K, n)
     return distance <= 1 if K == 2 else distance == K - 1
 
 

@@ -17,6 +17,7 @@ from tanglekit import (
     Fonts,
     enumerate_fonts,
     global_negativity,
+    kway_negativity,
     random_state,
     state_from_payload,
 )
@@ -228,6 +229,18 @@ class TestMeasure:
         assert code == 2
         assert out == ""
         assert err == f"tanglekit: --kway expects an integer K, got {k!r}\n"
+
+    def test_out_of_range_k_reads_as_the_library_says(self, tmp_path, capsys):
+        # the CLI restates no K rule: its usage line is kway_negativity's own error
+        path = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
+        k = "7" * 60
+        state = state_from_payload(json.loads(path.read_text()))
+        with pytest.raises(ValueError) as raised:
+            kway_negativity(state, 1, int(k))
+        code, out, err = run_cli(["measure", str(path), "--kway", f"1,{k}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"tanglekit: {raised.value}\n"
 
     def test_all_zero_state_is_bad_state(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

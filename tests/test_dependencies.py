@@ -8,7 +8,9 @@ the benchmark's tracer wraps.  And every write to stdout or stderr in
 ``src`` goes through ``cli._write_report`` or ``cli._diagnose``, which keep
 the exit codes when a stream fails and a report whole on stdout.  And every
 thread, lock or other ``threading`` object in ``src`` is made in
-``cli._run_stages``, the one place that shares state between threads.
+``cli._run_stages``, the one place that shares state between threads.  And
+every ``isdigit``, ``isdecimal`` or ``isnumeric`` in ``src`` is in
+``states._ascii_integer``, the one reader of ASCII integers.
 """
 import ast
 from pathlib import Path
@@ -21,6 +23,8 @@ FACTORISERS = {"hermitian_eigenvalues", "hermitian_eigenpairs", "singular_value_
 WRITERS = {"stdout": ("tanglekit/cli.py", "_write_report"),
            "stderr": ("tanglekit/cli.py", "_diagnose")}
 THREADER = ("tanglekit/cli.py", "_run_stages")
+DIGIT_READER = ("tanglekit/states.py", "_ascii_integer")
+DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
 
 
 def imported_modules(tree):
@@ -217,4 +221,44 @@ def test_threading_guard_sees_every_form():
     assert sorted(threading_uses(tree), key=str) == [
         ("other", "Event"), ("run_stages", "Lock"), ("run_stages", "get_ident"),
         (None, "Lock"), (None, "active_count"), (None, "as t"),
+    ]
+
+
+def digit_tests(tree, owner=None):
+    """(innermost enclosing function, name) for each isdigit, isdecimal or isnumeric in a module.
+
+    Any attribute of those names counts, called or not, so ``str.isdigit``
+    handed to ``filter`` is seen too.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from digit_tests(node, node.name)
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in DIGIT_TESTS:
+            yield owner, node.attr
+        yield from digit_tests(node, owner)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_digits_are_read_by_ascii_integer(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = path.relative_to(ROOT / "src").as_posix()
+    stray = [use for use in digit_tests(tree) if (module, use[0]) != DIGIT_READER]
+    assert stray == [], f"{module} reads digits outside {DIGIT_READER}"
+
+
+def test_digit_guard_sees_every_form():
+    tree = ast.parse(
+        "def _ascii_integer(text):\n"
+        "    return text.isdigit()\n"
+        "def parse(text):\n"
+        "    def inner(t):\n"
+        "        return t.isdecimal()\n"
+        "    return list(filter(str.isnumeric, text)), inner(text), text.isalpha()\n"
+        "top = '3'.isdigit()\n"
+    )
+    assert sorted(digit_tests(tree), key=str) == [
+        ("_ascii_integer", "isdigit"), ("inner", "isdecimal"), ("parse", "isnumeric"),
+        (None, "isdigit"),
     ]

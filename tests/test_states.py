@@ -272,6 +272,11 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             reduced_density(ghz(3), (2, 2))
 
+    @pytest.mark.parametrize("keep", [(1.0, 2), (1, 2.5)])
+    def test_non_integer_qubits(self, keep):
+        with pytest.raises(ValueError, match="qubit must be an integer"):
+            reduced_density(ghz(3), keep)
+
 
 class TestBasisIndex:
     @pytest.mark.parametrize("bits,value", [("00", 0), ("01", 1), ("10", 2), ("0101", 5)])

@@ -10,8 +10,9 @@ Reports are a single JSON object on stdout, newline-terminated; diagnostics
 go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
 names each failed check on stderr, one line each with its residual and
-the tolerance.  ``measure``'s stages run on one thread per CPU that the BLAS
-leaves free (see ``_stage_workers``); stdout does not depend on how many.
+the tolerance.  ``measure`` and ``check`` compute each reported value in a
+stage; ``_run_stages`` runs them on one thread per CPU that the BLAS leaves
+free (see ``_stage_workers``), and stdout does not depend on how many.
 ``measure --trace`` writes one JSON line per measure to stderr once all have
 finished (stage, route, dim, ms, and the worker that ran it, 0 being the
 calling thread), then one with the total ms and ru_maxrss after the report.
@@ -84,7 +85,7 @@ _GENERATORS = {"ghz": lambda n, seed: ghz(n), "w": lambda n, seed: w_state(n),
 _FONT_BLOCK_ROWS = 1024
 # about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
 _MAX_SWEEP_TRIALS = 10_000_000
-# measure's stage threads at most: each extra worker adds the working set of one stage,
+# stage threads at most: each extra worker adds the working set of one stage,
 # about 26 MiB of peak RSS at n = 10 (measure --all: 56 MiB on one worker, 82 MiB on two);
 # 3 and 4 workers are unmeasured, as the measurements ran on 2 CPUs
 _MAX_STAGE_WORKERS = 4
@@ -214,7 +215,7 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
 
 
 def _stage_workers(stages: int) -> int:
-    """Threads for measure's stages: one per CPU that the BLAS leaves free, at least one.
+    """Threads for the stages: one per CPU that the BLAS leaves free, at least one.
 
     The BLAS thread count is OpenBLAS's own: the first positive integer among
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, else one thread per CPU.
@@ -232,14 +233,15 @@ def _stage_workers(stages: int) -> int:
     return max(1, min(stages, cpus // blas, _MAX_STAGE_WORKERS))
 
 
-def _run_stages(computations: list[Callable[[], object]]) -> list[tuple[object, float, int]]:
-    """Run measure's stages on _stage_workers threads; return (value, ms, worker) per stage.
+def _run_stages(stages: dict[str, Callable[[], object]]) -> dict[str, tuple[object, float, int]]:
+    """Run measure's or check's stages on _stage_workers threads; (value, ms, worker) by key.
 
     The stages share no state, and their eigensolves, SVDs and matrix products release the
     GIL.  Workers, the calling thread being worker 0, claim stages in order from one iterator
     and write only the results of their own stages.  After the first failure no stage starts;
     once every worker has stopped, the earliest stage's failure is raised, as a loop would.
     """
+    computations = list(stages.values())
     results: list = [None] * len(computations)
     claims = iter(range(len(computations)))
     failed = threading.Event()
@@ -278,7 +280,7 @@ def _run_stages(computations: list[Callable[[], object]]) -> list[tuple[object, 
     for result in results:  # the stages before the earliest failure all ran
         if isinstance(result, BaseException):
             raise result
-    return results
+    return dict(zip(stages, results))
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -286,8 +288,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
     n = state.n_qubits
 
-    want_tangle3 = args.tangle3 or (args.all and n == 3)
-    want_tangle4 = args.tangle4 or (args.all and n == 4)
     if args.tangle3 and n != 3:
         raise CliError(f"--tangle3 requires a 3-qubit state, got n = {n}")
     if args.tangle4 and n != 4:
@@ -307,31 +307,31 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         neg_qubits = list(range(1, n + 1))
         kway_pairs = {(p, k) for p in range(1, n + 1) for k in range(2, n + 1)}
 
-    if not (want_tangle3 or want_tangle4 or neg_qubits or kway_pairs or font_qubits):
+    # report key -> computation in report order, and --trace's (route, matrix side) of each
+    # K-way stage as spectra names it; the other stages read the 2**(n-1) minor matrix
+    stages: dict[str, Callable[[], object]] = {}
+    routes: dict[str, tuple[str, int]] = {}
+    if args.tangle3 or (args.all and n == 3):
+        stages["tangle3"] = partial(three_tangle, state)
+    if args.tangle4 or (args.all and n == 4):
+        stages["tangle4"] = partial(four_tangle, state)
+        if args.all:
+            stages["four_invariant_abs"] = lambda: abs(four_invariant(state))
+    stages |= {f"negativity_q{p}": partial(global_negativity, state, p) for p in neg_qubits}
+    for p, k in sorted(kway_pairs):
+        key = f"kway_q{p}_k{k}"
+        stages[key], routes[key] = partial(kway_negativity, state, p, k), _kway_route(n, k)
+    stages |= {f"fonts_q{p}": lambda p=p: _fonts_json(enumerate_fonts(state, p), n)
+               for p in font_qubits}
+    if not stages:
         raise CliError("no measures requested")
 
-    # (report key, route, matrix side, computation) in report order; the closed forms read
-    # the 2**(n-1) minor matrix, and spectra names each K-way route
-    closed = (_CLOSED_FORM, 2 ** (n - 1))
-    stages: list[tuple[str, str, int, Callable[[], object]]] = []
-    if want_tangle3:
-        stages.append(("tangle3", *closed, partial(three_tangle, state)))
-    if want_tangle4:
-        stages.append(("tangle4", *closed, partial(four_tangle, state)))
-        if args.all:
-            stages.append(("four_invariant_abs", *closed, lambda: abs(four_invariant(state))))
-    stages += [(f"negativity_q{p}", *closed, partial(global_negativity, state, p))
-               for p in neg_qubits]
-    stages += [(f"kway_q{p}_k{k}", *_kway_route(n, k), partial(kway_negativity, state, p, k))
-               for p, k in sorted(kway_pairs)]
-    stages += [(f"fonts_q{p}", *closed, lambda p=p: _fonts_json(enumerate_fonts(state, p), n))
-               for p in font_qubits]
-
-    results = _run_stages([compute for *_, compute in stages])
+    results = _run_stages(stages)
     if args.trace:
-        for (key, route, dim, _), (_, ms, worker) in zip(stages, results):
+        for key, (_, ms, worker) in results.items():
+            route, dim = routes.get(key, (_CLOSED_FORM, 2 ** (n - 1)))
             _diagnose(json.dumps(dict(stage=key, route=route, dim=dim, ms=ms, worker=worker)))
-    _write_report({key: value for (key, *_), (value, *_) in zip(stages, results)})
+    _write_report({key: value for key, (value, *_) in results.items()})
     if args.trace:
         import resource  # Unix only, so imported where the trace needs it
 
@@ -345,14 +345,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
     n = state.n_qubits
 
-    if not (args.decomposition or args.product_identity or args.covariance or args.lu_sweep):
-        raise CliError("no checks requested")
-
-    # every flag is read and checked before the first computation
-    if args.decomposition and n < 2:
-        raise CliError("--decomposition requires at least 2 qubits")
-    if args.product_identity and n != 3:
-        raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
+    # report key -> computation in report order; none runs before every flag has passed
+    stages: dict[str, Callable[[], object]] = {}
+    if args.decomposition:
+        if n < 2:
+            raise CliError("--decomposition requires at least 2 qubits")
+        stages["decomposition"] = lambda: max(
+            map(partial(decomposition_residual, density(state)), range(1, n + 1)))
+    if args.product_identity:
+        if n != 3:
+            raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
+        stages["product_identity"] = partial(product_identity_residual, state)
     if args.covariance:
         q_text, *floats = _fields(args.covariance, "--covariance", "Q,RE,IM")
         # float() alone would also read non-ASCII digits like '١.٥' and underscores like '1_0'
@@ -368,6 +371,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if n == 3 and qubit != 2:
             raise CliError("three-qubit covariance relations are stated for qubit B")
         _checked(su2_rotation, param)
+        stages["covariance"] = lambda: [
+            {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
+            for c in (covariance_check_4(state, qubit, param) if n == 4
+                      else covariance_check_3(state, param))]
     if args.lu_sweep:
         if n not in (3, 4):
             raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
@@ -377,33 +384,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if trials > _MAX_SWEEP_TRIALS:
             raise CliError(f"--lu-sweep TRIALS must be at most {_MAX_SWEEP_TRIALS:,}, "
                            f"got {reprlib.repr(trials)}")
+        stages["lu_sweep"] = lambda: {"max_deviation": lu_invariance_sweep(state, trials, seed),
+                                      "trials": trials, "seed": seed}
+    if not stages:
+        raise CliError("no checks requested")
 
-    report: dict = {}
-    residuals: list[tuple[str, float]] = []
-    if args.decomposition:
-        rho = density(state)
-        value = max(decomposition_residual(rho, p) for p in range(1, n + 1))
-        report["decomposition"] = value
-        residuals.append(("decomposition", value))
-    if args.product_identity:
-        report["product_identity"] = value = product_identity_residual(state)
-        residuals.append(("product_identity", value))
-    if args.covariance:
-        if n == 4:
-            checks = covariance_check_4(state, qubit, param)
-        else:
-            checks = covariance_check_3(state, param)
-        report["covariance"] = [
-            {"relation": c.relation, "residual": c.residual, "prefactor": c.prefactor_used}
-            for c in checks
-        ]
-        residuals.extend((f"covariance:{c.relation}", c.residual) for c in checks)
-    if args.lu_sweep:
-        value = lu_invariance_sweep(state, trials, seed)
-        report["lu_sweep"] = {"max_deviation": value, "trials": trials, "seed": seed}
-        residuals.append(("lu_sweep", value))
-
+    report = {key: value for key, (value, *_) in _run_stages(stages).items()}
     _write_report(report)
+    residuals = []  # each check's residuals in report order, one per covariance relation
+    for key, value in report.items():
+        if key == "covariance":
+            residuals += [(f"covariance:{c['relation']}", c["residual"]) for c in value]
+        else:
+            residuals.append((key, value["max_deviation"] if key == "lu_sweep" else value))
     failed = [(name, value) for name, value in residuals if not value < CHECK_TOL]
     for name, value in failed:
         _diagnose(f"tanglekit: check failed: {name} = {value!r} (tolerance {CHECK_TOL!r})")

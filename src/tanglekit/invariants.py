@@ -23,6 +23,7 @@ from .states import (
     PureState,
     _check_integer,
     _haar_rotated,
+    _rng,
     apply_local_unitary,
     parse_qubit,
     reduced_density,
@@ -270,7 +271,7 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     _check_integer(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    rng, worst = np.random.default_rng(seed), 0.0
+    rng, worst = _rng(seed), 0.0
     for start in range(0, trials, _SWEEP_BLOCK):
         amps = _haar_rotated(state, rng, min(_SWEEP_BLOCK, trials - start))
         deviation = np.abs(tangles(*_minor_matrix(amps, n, 1)[:, u, v].T) - reference)

@@ -9,8 +9,8 @@ amplitude stored for ``"i1 i2 ... in"`` is retrieved by that same string.
 Every type in this module is an immutable value after construction; no
 operation mutates its inputs.  Each input rule has its one check here:
 ``_ascii_integer`` reads ASCII digits, ``parse_qubit`` a qubit label, and
-``_check_count``, ``_check_qubit``, ``_check_kway`` and ``su2_rotation`` check a
-qubit count, a qubit, a K and a rotation parameter for every module and the CLI.
+``_check_count``, ``_check_qubit``, ``_check_kway``, ``su2_rotation`` and ``_rng``
+check a qubit count, a qubit, a K, a rotation parameter and a seed everywhere.
 """
 from __future__ import annotations
 
@@ -352,10 +352,16 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return _haar_from_ginibre(rng.standard_normal((2, 2, 2)))
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a seed, which must be an integer: the one caller of default_rng."""
+    _check_integer(seed, "seed")
+    return np.random.default_rng(seed)
+
+
 def random_state(n: int, seed: int) -> PureState:
     """Haar-uniform state: 2**n complex Gaussian draws, normalized; deterministic per seed."""
     _check_count(n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     amps, _ = _normalized(raw)
     return PureState(n, amps)
@@ -364,14 +370,14 @@ def random_state(n: int, seed: int) -> PureState:
 def random_product_state(n: int, seed: int) -> PureState:
     """Product of n single-qubit factors, each two complex Gaussian draws; deterministic per seed."""
     _check_count(n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)]
     return product_state([(complex(z0), complex(z1)) for z0, z1 in z])
 
 
 def random_local_unitary(target: int, seed: int) -> LocalUnitary:
     """Haar-distributed local unitary on ``target``; deterministic per seed."""
-    return LocalUnitary(target, haar_unitary(np.random.default_rng(seed)))
+    return LocalUnitary(target, haar_unitary(_rng(seed)))
 
 
 def _apply_on_qubit(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import errno
+import inspect
 import io
 import itertools
 import json
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,7 +59,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 
 
 def force_workers(monkeypatch, workers):
-    """Make measure run its stages on this many threads: one BLAS thread and as many CPUs."""
+    """Make measure and check run their stages on this many threads: one BLAS thread and as
+    many CPUs."""
     for name in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -437,8 +441,17 @@ class TestMeasure:
         assert first.endswith("\n")
 
 
+# every library function whose value a measure or check report holds, as cli binds it
+COMPUTATIONS = sorted(
+    [name for name, obj in vars(cli).items() if inspect.isfunction(obj) and name[0] != "_"
+     and obj.__module__ in ("tanglekit.invariants", "tanglekit.spectra", "tanglekit.transpose")]
+    + ["density"])
+CHECK_FLAGS = (["--decomposition"], ["--product-identity"], ["--covariance", "B,0.3,0.7"],
+               ["--lu-sweep", "50,3"])
+
+
 class TestStageWorkers:
-    """measure runs its stages on one thread per CPU that the BLAS leaves free."""
+    """measure and check run their stages on one thread per CPU that the BLAS leaves free."""
 
     @pytest.mark.parametrize("env,cpus,workers", [
         ({}, 2, 1),  # an unpinned OpenBLAS runs one thread per CPU
@@ -504,6 +517,67 @@ class TestStageWorkers:
                 outputs.append(out)
             assert_same_text(outputs[1], outputs[0], f"n = {n}: ")
 
+    @pytest.mark.parametrize("kind", ["random", "ghz", "w"])
+    def test_check_output_does_not_depend_on_workers(self, kind, tmp_path, capsys, monkeypatch):
+        baseline = threading.active_count()
+        for n in (3, 4):
+            path = write_state(tmp_path, f"{kind}{n}.json", kind, str(n), "--seed", str(n),
+                               capsys=capsys)
+            for chosen in itertools.product([False, True], repeat=len(CHECK_FLAGS)):
+                argv = ["check", str(path)]
+                argv += [arg for flags, on in zip(CHECK_FLAGS, chosen) if on for arg in flags]
+                results = []
+                for workers in (1, 2):
+                    monkeypatch.setattr(cli, "_stage_workers", lambda stages, w=workers: w)
+                    results.append(run_cli(argv, capsys))
+                    assert threading.active_count() == baseline
+                assert results[1] == results[0], argv
+                assert results[0][0] == (0 if any(chosen) and (n == 3 or not chosen[1]) else 2)
+
+    def test_every_reported_value_is_computed_in_a_stage(self, tmp_path, capsys, monkeypatch):
+        # no library computation runs before or after the stage runner, on any thread
+        force_workers(monkeypatch, 2)
+        running, called = [], set()
+        run_stages = cli._run_stages
+
+        def runner(stages):
+            running.append(True)
+            try:
+                return run_stages(stages)
+            finally:
+                running.pop()
+
+        def guarded(*args, name, compute):
+            assert running, f"{name} ran outside _run_stages"
+            called.add(name)
+            return compute(*args)
+
+        monkeypatch.setattr(cli, "_run_stages", runner)
+        for name in COMPUTATIONS:
+            monkeypatch.setattr(cli, name, partial(guarded, name=name, compute=getattr(cli, name)))
+        r3 = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
+        r4 = write_state(tmp_path, "r4.json", "random", "4", capsys=capsys)
+        for argv in (["measure", r3, "--all", "--fonts", "1", "--trace"], ["measure", r4, "--all"],
+                     ["measure", r4, "--tangle4", "--negativity", "2", "--kway", "1,3"],
+                     ["check", r3, *itertools.chain(*CHECK_FLAGS)],
+                     ["check", r4, "--decomposition", "--covariance", "D,0.3,0.7",
+                      "--lu-sweep", "50,3"]):
+            code, _, err = run_cli([str(arg) for arg in argv], capsys)
+            assert code == 0, err
+        assert called == set(COMPUTATIONS)
+
+    def test_one_check_stage_starts_no_thread(self, tmp_path, capsys, monkeypatch):
+        # n >= 5 takes --decomposition alone: one stage, on the calling thread
+        path = write_state(tmp_path, "r5.json", "random", "5", capsys=capsys)
+        force_workers(monkeypatch, 2)
+        baseline = threading.active_count()
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        code, out, err = run_cli(["check", str(path), "--decomposition"], capsys)
+        assert (code, err, started) == (0, "", [])
+        assert json.loads(out)["decomposition"] < 1e-12
+        assert threading.active_count() == baseline
+
     def test_four_workers_switching_often(self, tmp_path, capsys, monkeypatch):
         # more workers than this test needs CPUs, and a thread switch every microsecond
         path = write_state(tmp_path, "r6.json", "random", "6", capsys=capsys)
@@ -553,6 +627,38 @@ class TestStageWorkers:
         # a loop over the stages would stop at the first; no stage starts after a failure
         assert sorted(started) == [2, 3][:workers]
         assert len(threads) == workers
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_earliest_failing_check_gives_the_error(self, workers, tmp_path, capsys, monkeypatch):
+        # the covariance stage fails while the product identity, the earlier stage, still runs
+        path = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
+        force_workers(monkeypatch, workers)
+        baseline = threading.active_count()
+        later_failed = threading.Event()
+        started = []
+
+        def covariance(state, x):
+            started.append("covariance")
+            later_failed.set()
+            raise RuntimeError("later stage")
+
+        def product_identity(state):
+            started.append("product_identity")
+            if workers == 2:
+                assert later_failed.wait(timeout=30)
+                time.sleep(0.05)  # the later failure is recorded first
+            raise RuntimeError("earlier stage")
+
+        monkeypatch.setattr(cli, "covariance_check_3", covariance)
+        monkeypatch.setattr(cli, "product_identity_residual", product_identity)
+        monkeypatch.setattr(cli, "lu_invariance_sweep", lambda *args: started.append("lu_sweep"))
+        argv = ["check", str(path), "--product-identity", "--covariance", "B,0.3,0.7",
+                "--lu-sweep", "50,3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (5, "")
+        assert err == "tanglekit: internal error: RuntimeError: earlier stage\n"
+        assert sorted(started) == ["covariance", "product_identity"][2 - workers:]
         assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -773,6 +879,38 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["lu_sweep"]["max_deviation"] == 0.5
         assert err == "tanglekit: check failed: lu_sweep = 0.5 (tolerance 1e-08)\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_checks_keep_report_order(self, workers, tmp_path, capsys, monkeypatch):
+        # the stages finish in reverse order; the failed-check lines follow the report
+        path = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
+        force_workers(monkeypatch, workers)
+        covariance_check_3 = cli.covariance_check_3
+
+        def late(seconds, value):
+            time.sleep(seconds * (workers - 1))
+            return value
+
+        def covariance(state, x):
+            checks = covariance_check_3(state, x)
+            return late(0.05, [dataclasses.replace(c, residual=0.125) for c in checks[:2]])
+
+        monkeypatch.setattr(cli, "decomposition_residual", lambda rho, p: late(0.1, 0.5))
+        monkeypatch.setattr(cli, "product_identity_residual", lambda state: late(0.2, 0.25))
+        monkeypatch.setattr(cli, "covariance_check_3", covariance)
+        monkeypatch.setattr(cli, "lu_invariance_sweep", lambda *args: 1.0)
+        argv = ["check", str(path), "--lu-sweep", "5,1", "--covariance", "B,1,0",
+                "--product-identity", "--decomposition"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert list(json.loads(out)) == ["decomposition", "product_identity", "covariance",
+                                         "lu_sweep"]
+        assert err == "".join(f"tanglekit: check failed: {name} = {value} (tolerance 1e-08)\n"
+                              for name, value in [
+                                  ("decomposition", 0.5), ("product_identity", 0.25),
+                                  ("covariance:b_rotation_three_way_0", 0.125),
+                                  ("covariance:b_rotation_three_way_1", 0.125),
+                                  ("lu_sweep", 1.0)])
 
     @pytest.mark.parametrize("bad", [["--product-identity"], ["--covariance", "C,x,1"],
                                      ["--covariance", "D,nan,0"], ["--lu-sweep", "5"],

@@ -10,7 +10,9 @@ the exit codes when a stream fails and a report whole on stdout.  And every
 thread, lock or other ``threading`` object in ``src`` is made in
 ``cli._run_stages``, the one place that shares state between threads.  And
 every ``isdigit``, ``isdecimal`` or ``isnumeric`` in ``src`` is in
-``states._ascii_integer``, the one reader of ASCII integers.
+``states._ascii_integer``, the one reader of ASCII integers.  And every
+``default_rng`` in ``src`` is in ``states._rng``, which checks that a seed is
+an integer before NumPy reads it.
 """
 import ast
 from pathlib import Path
@@ -25,6 +27,7 @@ WRITERS = {"stdout": ("tanglekit/cli.py", "_write_report"),
 THREADER = ("tanglekit/cli.py", "_run_stages")
 DIGIT_READER = ("tanglekit/states.py", "_ascii_integer")
 DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
+SEEDER = ("tanglekit/states.py", "_rng")
 
 
 def imported_modules(tree):
@@ -261,4 +264,52 @@ def test_digit_guard_sees_every_form():
     assert sorted(digit_tests(tree), key=str) == [
         ("_ascii_integer", "isdigit"), ("inner", "isdecimal"), ("parse", "isnumeric"),
         (None, "isdigit"),
+    ]
+
+
+def generator_uses(tree, owner=None):
+    """(innermost enclosing function, 'default_rng') for each use of default_rng in a module.
+
+    An attribute or a bare name counts, called or not, and so does a ``from numpy.random
+    import`` of it, since its later bare calls would pass unseen.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from generator_uses(node, node.name)
+            continue
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        yield from ((owner, name) for name in names if name == "default_rng")
+        yield from generator_uses(node, owner)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_generators_are_made_by_rng(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = path.relative_to(ROOT / "src").as_posix()
+    stray = [use for use in generator_uses(tree) if (module, use[0]) != SEEDER]
+    assert stray == [], f"{module} makes a generator outside {SEEDER}"
+
+
+def test_generator_guard_sees_every_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.random import default_rng, Generator\n"
+        "def _rng(seed):\n"
+        "    return np.random.default_rng(seed)\n"
+        "def draw(seed):\n"
+        "    def inner(s):\n"
+        "        return default_rng(s)\n"
+        "    return inner(seed), map(np.random.default_rng, [seed]), np.random.random()\n"
+        "top = numpy.random.default_rng(0)\n"
+    )
+    assert sorted(generator_uses(tree), key=str) == [
+        ("_rng", "default_rng"), ("draw", "default_rng"), ("inner", "default_rng"),
+        (None, "default_rng"), (None, "default_rng"),
     ]

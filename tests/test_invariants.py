@@ -515,6 +515,11 @@ class TestLuInvarianceSweep:
         with pytest.raises(ValueError, match="trials must be an integer"):
             lu_invariance_sweep(random_state(3, 1), trials, 0)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            lu_invariance_sweep(ghz(3), 10, seed)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_builds_no_value_objects_per_trial(self, n, monkeypatch):
         s = random_state(n, 2)

@@ -157,6 +157,15 @@ class TestRandomSampling:
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
         assert not np.array_equal(a.amplitudes, random_product_state(4, seed=6).amplitudes)
 
+    @pytest.mark.parametrize("draw", [lambda seed: random_state(3, seed),
+                                      lambda seed: random_product_state(3, seed),
+                                      lambda seed: random_local_unitary(1, seed)],
+                             ids=["random_state", "random_product_state", "random_local_unitary"])
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3"])
+    def test_non_integer_seed(self, draw, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw(seed)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_random_product_state_fonts_negligible(self, n):
         s = random_product_state(n, seed=100 + n)

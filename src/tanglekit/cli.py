@@ -11,8 +11,8 @@ go to stderr.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 I/O error, 4 invalid state data, 5 internal error.  On exit 1, ``check``
 names each failed check on stderr, one line each with its residual and
 the tolerance.  ``measure`` and ``check`` compute each reported value in a
-stage; ``_run_stages`` runs them on one thread per CPU that the BLAS leaves
-free (see ``_stage_workers``), and stdout does not depend on how many.
+stage; ``_run_stages`` runs ``measure``'s on one thread per CPU that the BLAS leaves
+free (see ``_stage_workers``; stdout does not depend on how many), ``check``'s on one.
 ``measure --trace`` writes one JSON line per measure to stderr once all have
 finished (stage, route, dim, ms, and the worker that ran it, 0 being the
 calling thread), then one with the total ms and ru_maxrss after the report.
@@ -215,7 +215,7 @@ def _fonts_json(fonts: Fonts, n: int) -> Rendered:
 
 
 def _stage_workers(stages: int) -> int:
-    """Threads for the stages: one per CPU that the BLAS leaves free, at least one.
+    """Threads for measure's stages: one per CPU that the BLAS leaves free, at least one.
 
     The BLAS thread count is OpenBLAS's own: the first positive integer among
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, else one thread per CPU.
@@ -233,8 +233,9 @@ def _stage_workers(stages: int) -> int:
     return max(1, min(stages, cpus // blas, _MAX_STAGE_WORKERS))
 
 
-def _run_stages(stages: dict[str, Callable[[], object]]) -> dict[str, tuple[object, float, int]]:
-    """Run measure's or check's stages on _stage_workers threads; (value, ms, worker) by key.
+def _run_stages(stages: dict[str, Callable[[], object]],
+                workers: int) -> dict[str, tuple[object, float, int]]:
+    """Run the stages on this many threads; return (value, ms, worker) by key.
 
     The stages share no state, and their eigensolves, SVDs and matrix products release the
     GIL.  Workers, the calling thread being worker 0, claim stages in order from one iterator
@@ -266,7 +267,7 @@ def _run_stages(stages: dict[str, Callable[[], object]]) -> dict[str, tuple[obje
 
     threads = []
     try:
-        for worker in range(1, _stage_workers(len(computations))):
+        for worker in range(1, workers):
             thread = threading.Thread(target=work, args=(worker,))
             thread.start()
             threads.append(thread)
@@ -326,7 +327,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     if not stages:
         raise CliError("no measures requested")
 
-    results = _run_stages(stages)
+    results = _run_stages(stages, _stage_workers(len(stages)))
     if args.trace:
         for key, (_, ms, worker) in results.items():
             route, dim = routes.get(key, (_CLOSED_FORM, 2 ** (n - 1)))
@@ -389,7 +390,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not stages:
         raise CliError("no checks requested")
 
-    report = {key: value for key, (value, *_) in _run_stages(stages).items()}
+    # one worker: at n <= 4 the checks are small NumPy calls that hold the GIL between them
+    report = {key: value for key, (value, *_) in _run_stages(stages, 1).items()}
     _write_report(report)
     residuals = []  # each check's residuals in report order, one per covariance relation
     for key, value in report.items():

@@ -59,8 +59,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 
 
 def force_workers(monkeypatch, workers):
-    """Make measure and check run their stages on this many threads: one BLAS thread and as
-    many CPUs."""
+    """Make measure run its stages on this many threads: one BLAS thread and as many CPUs."""
     for name in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -451,7 +450,8 @@ CHECK_FLAGS = (["--decomposition"], ["--product-identity"], ["--covariance", "B,
 
 
 class TestStageWorkers:
-    """measure and check run their stages on one thread per CPU that the BLAS leaves free."""
+    """measure runs its stages on one thread per CPU that the BLAS leaves free, check on the
+    calling thread."""
 
     @pytest.mark.parametrize("env,cpus,workers", [
         ({}, 2, 1),  # an unpinned OpenBLAS runs one thread per CPU
@@ -518,21 +518,20 @@ class TestStageWorkers:
             assert_same_text(outputs[1], outputs[0], f"n = {n}: ")
 
     @pytest.mark.parametrize("kind", ["random", "ghz", "w"])
-    def test_check_output_does_not_depend_on_workers(self, kind, tmp_path, capsys, monkeypatch):
-        baseline = threading.active_count()
-        for n in (3, 4):
-            path = write_state(tmp_path, f"{kind}{n}.json", kind, str(n), "--seed", str(n),
-                               capsys=capsys)
+    def test_check_starts_no_thread(self, kind, tmp_path, capsys, monkeypatch):
+        # every flag set on 3 and 4 qubits, with two CPUs free for measure's stage threads
+        paths = [write_state(tmp_path, f"{kind}{n}.json", kind, str(n), "--seed", str(n),
+                             capsys=capsys) for n in (3, 4)]
+        force_workers(monkeypatch, 2)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        for n, path in zip((3, 4), paths):
             for chosen in itertools.product([False, True], repeat=len(CHECK_FLAGS)):
                 argv = ["check", str(path)]
                 argv += [arg for flags, on in zip(CHECK_FLAGS, chosen) if on for arg in flags]
-                results = []
-                for workers in (1, 2):
-                    monkeypatch.setattr(cli, "_stage_workers", lambda stages, w=workers: w)
-                    results.append(run_cli(argv, capsys))
-                    assert threading.active_count() == baseline
-                assert results[1] == results[0], argv
-                assert results[0][0] == (0 if any(chosen) and (n == 3 or not chosen[1]) else 2)
+                code, _, err = run_cli(argv, capsys)
+                assert code == (0 if any(chosen) and (n == 3 or not chosen[1]) else 2), err
+                assert started == [], argv
 
     def test_every_reported_value_is_computed_in_a_stage(self, tmp_path, capsys, monkeypatch):
         # no library computation runs before or after the stage runner, on any thread
@@ -540,10 +539,10 @@ class TestStageWorkers:
         running, called = [], set()
         run_stages = cli._run_stages
 
-        def runner(stages):
+        def runner(stages, workers):
             running.append(True)
             try:
-                return run_stages(stages)
+                return run_stages(stages, workers)
             finally:
                 running.pop()
 
@@ -629,37 +628,24 @@ class TestStageWorkers:
         assert len(threads) == workers
         assert threading.active_count() == baseline
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_earliest_failing_check_gives_the_error(self, workers, tmp_path, capsys, monkeypatch):
-        # the covariance stage fails while the product identity, the earlier stage, still runs
+    def test_failing_check_stops_the_later_ones(self, tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
-        force_workers(monkeypatch, workers)
-        baseline = threading.active_count()
-        later_failed = threading.Event()
+        force_workers(monkeypatch, 2)
         started = []
-
-        def covariance(state, x):
-            started.append("covariance")
-            later_failed.set()
-            raise RuntimeError("later stage")
 
         def product_identity(state):
             started.append("product_identity")
-            if workers == 2:
-                assert later_failed.wait(timeout=30)
-                time.sleep(0.05)  # the later failure is recorded first
             raise RuntimeError("earlier stage")
 
-        monkeypatch.setattr(cli, "covariance_check_3", covariance)
         monkeypatch.setattr(cli, "product_identity_residual", product_identity)
+        monkeypatch.setattr(cli, "covariance_check_3", lambda *args: started.append("covariance"))
         monkeypatch.setattr(cli, "lu_invariance_sweep", lambda *args: started.append("lu_sweep"))
         argv = ["check", str(path), "--product-identity", "--covariance", "B,0.3,0.7",
                 "--lu-sweep", "50,3"]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (5, "")
         assert err == "tanglekit: internal error: RuntimeError: earlier stage\n"
-        assert sorted(started) == ["covariance", "product_identity"][2 - workers:]
-        assert threading.active_count() == baseline
+        assert started == ["product_identity"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_interrupt_propagates_and_no_later_stage_starts(self, workers, tmp_path, capsys,
@@ -880,23 +866,17 @@ class TestCheck:
         assert json.loads(out)["lu_sweep"]["max_deviation"] == 0.5
         assert err == "tanglekit: check failed: lu_sweep = 0.5 (tolerance 1e-08)\n"
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_checks_keep_report_order(self, workers, tmp_path, capsys, monkeypatch):
-        # the stages finish in reverse order; the failed-check lines follow the report
+    def test_failed_checks_keep_report_order(self, tmp_path, capsys, monkeypatch):
+        # the flags come in reverse order; the failed-check lines follow the report
         path = write_state(tmp_path, "r3.json", "random", "3", capsys=capsys)
-        force_workers(monkeypatch, workers)
         covariance_check_3 = cli.covariance_check_3
 
-        def late(seconds, value):
-            time.sleep(seconds * (workers - 1))
-            return value
-
         def covariance(state, x):
-            checks = covariance_check_3(state, x)
-            return late(0.05, [dataclasses.replace(c, residual=0.125) for c in checks[:2]])
+            checks = covariance_check_3(state, x)[:2]
+            return [dataclasses.replace(c, residual=0.125) for c in checks]
 
-        monkeypatch.setattr(cli, "decomposition_residual", lambda rho, p: late(0.1, 0.5))
-        monkeypatch.setattr(cli, "product_identity_residual", lambda state: late(0.2, 0.25))
+        monkeypatch.setattr(cli, "decomposition_residual", lambda rho, p: 0.5)
+        monkeypatch.setattr(cli, "product_identity_residual", lambda state: 0.25)
         monkeypatch.setattr(cli, "covariance_check_3", covariance)
         monkeypatch.setattr(cli, "lu_invariance_sweep", lambda *args: 1.0)
         argv = ["check", str(path), "--lu-sweep", "5,1", "--covariance", "B,1,0",

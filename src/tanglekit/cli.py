@@ -18,7 +18,8 @@ finished (stage, route, dim, ms, and the worker that ran it, 0 being the
 calling thread), then one with the total ms and ru_maxrss after the report.
 Each flag's fields are split here and checked by the library function that
 owns their rule (see ``states``), whose ValueError ``_checked`` makes a usage
-error.  ``gen product`` draws ``states.random_product_state``.
+error; the qubit count a flag needs is checked by ``states._check_count``, and
+its error line is led by the flag.  ``gen product`` draws ``states.random_product_state``.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .spectra import _CLOSED_FORM, _kway_route  # the routes measure --trace nam
 from .states import (
     PureState,
     _ascii_integer,
+    _check_count,
     _check_kway,
     cluster4,
     density,
@@ -97,12 +99,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _checked(check: Callable[..., object], *args: object) -> object:
-    """check(*args), a library call whose ValueError on bad input becomes a usage error."""
+def _checked(check: Callable[..., object], *args: object, flag: str = "") -> object:
+    """check(*args), whose ValueError on bad input becomes a usage error, led by flag if given."""
     try:
         return check(*args)
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"{flag} {exc}" if flag else str(exc)) from None
 
 
 def _fields(text: str, flag: str, spec: str) -> list[str]:
@@ -175,8 +177,8 @@ def _write_report(report: dict, path: str | None = None) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
-    if kind == "cluster4" and n not in (None, 4):
-        raise CliError("cluster4 is a 4-qubit state")
+    if kind == "cluster4" and n is not None:
+        _checked(_check_count, n, 4, 4, flag=kind)
     if kind != "cluster4" and n is None:
         raise CliError(f"kind {kind!r} requires a qubit count")
     _write_report(state_to_payload(_checked(_GENERATORS[kind], n, args.seed)), args.out)
@@ -289,10 +291,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     state = _load_state(args.state)
     n = state.n_qubits
 
-    if args.tangle3 and n != 3:
-        raise CliError(f"--tangle3 requires a 3-qubit state, got n = {n}")
-    if args.tangle4 and n != 4:
-        raise CliError(f"--tangle4 requires a 4-qubit state, got n = {n}")
+    if args.tangle3:
+        _checked(_check_count, n, 3, 3, flag="--tangle3")
+    if args.tangle4:
+        _checked(_check_count, n, 4, 4, flag="--tangle4")
 
     neg_qubits = sorted({_checked(parse_qubit, t, n) for t in args.negativity})
     kway_pairs = set()
@@ -349,13 +351,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # report key -> computation in report order; none runs before every flag has passed
     stages: dict[str, Callable[[], object]] = {}
     if args.decomposition:
-        if n < 2:
-            raise CliError("--decomposition requires at least 2 qubits")
+        _checked(_check_count, n, 2, flag="--decomposition")
         stages["decomposition"] = lambda: max(
             map(partial(decomposition_residual, density(state)), range(1, n + 1)))
     if args.product_identity:
-        if n != 3:
-            raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")
+        _checked(_check_count, n, 3, 3, flag="--product-identity")
         stages["product_identity"] = partial(product_identity_residual, state)
     if args.covariance:
         q_text, *floats = _fields(args.covariance, "--covariance", "Q,RE,IM")
@@ -366,8 +366,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             param = complex(*map(float, floats))
         except ValueError:
             raise CliError("invalid --covariance parameter: expected re,im floats") from None
-        if n not in (3, 4):
-            raise CliError(f"--covariance requires a 3- or 4-qubit state, got n = {n}")
+        _checked(_check_count, n, 3, 4, flag="--covariance")
         qubit = _checked(parse_qubit, q_text, n)
         if n == 3 and qubit != 2:
             raise CliError("three-qubit covariance relations are stated for qubit B")
@@ -377,8 +376,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for c in (covariance_check_4(state, qubit, param) if n == 4
                       else covariance_check_3(state, param))]
     if args.lu_sweep:
-        if n not in (3, 4):
-            raise CliError(f"--lu-sweep requires a 3- or 4-qubit state, got n = {n}")
+        _checked(_check_count, n, 3, 4, flag="--lu-sweep")
         trials, seed = map(_ascii_integer, _fields(args.lu_sweep, "--lu-sweep", "TRIALS,SEED"))
         if trials is None or seed is None:
             raise CliError("--lu-sweep expects non-negative integers TRIALS,SEED")

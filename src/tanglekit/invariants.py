@@ -21,6 +21,7 @@ import numpy as np
 from .states import (
     LocalUnitary,
     PureState,
+    _check_count,
     _check_integer,
     _haar_rotated,
     _rng,
@@ -88,8 +89,7 @@ _FOUR_PICKS = np.array([(u, u ^ m) for m in (7, 5, 3) for u in range(8) if u < u
 
 def _fonts(state: PureState, n: int) -> list[complex]:
     """Qubit A's fonts of a state that must have n = 3 or 4 qubits, in pick-table order."""
-    if state.n_qubits != n:
-        raise ValueError(f"requires a {n}-qubit state, got n = {state.n_qubits}")
+    _check_count(state.n_qubits, n, n)
     u, v = _THREE_PICKS if n == 3 else _FOUR_PICKS
     # Python complex fonts spare the formulas NumPy's 0-d array overhead
     return font_minors(state, 1)[u, v].tolist()
@@ -261,13 +261,12 @@ def lu_invariance_sweep(state: PureState, trials: int, seed: int) -> float:
     primary/alternate agreement of ``three_tangle``) runs on each block.
     """
     n = state.n_qubits
+    _check_count(n, 3, 4)
     if n == 3:
         (u, v), reference, tangles = _THREE_PICKS, three_tangle(state), _three_tangles
-    elif n == 4:
+    else:
         (u, v), reference = _FOUR_PICKS[:, :4], four_tangle(state)
         tangles = lambda *fonts: _four_tangles(_four_invariants(*fonts))
-    else:
-        raise ValueError(f"sweep requires a 3- or 4-qubit state, got n = {n}")
     _check_integer(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be non-negative")

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityOperator, PureState, _check_finite, _check_hermitian, _check_qubit
+from .states import (DensityOperator, PureState, _check_count, _check_finite, _check_hermitian,
+                     _check_qubit)
 from .transpose import _kway_selection, _parity_order, _rest_distance
 
 # eigenvalues this close to zero are floating-point noise around PSD spectra
@@ -360,8 +361,7 @@ def enumerate_fonts(state: PureState, p: int) -> Fonts:
 
 def font_negativity_2q(state: PureState) -> float:
     """2 |a00 a11 - a01 a10|; agrees with the eigensolve negativity for 2 qubits."""
-    if state.n_qubits != 2:
-        raise ValueError(f"requires a 2-qubit state, got n = {state.n_qubits}")
+    _check_count(state.n_qubits, 2, 2)
     return 2.0 * abs(font_minors(state, 1)[0, 1])
 
 
@@ -374,8 +374,7 @@ def concurrence_2q(rho: DensityOperator) -> float:
     which keeps rank-deficient inputs (every reduction of a pure state)
     exact instead of amplifying eigensolver noise through the square root.
     """
-    if rho.n_qubits != 2:
-        raise ValueError(f"requires a 4x4 density operator, got n = {rho.n_qubits}")
+    _check_count(rho.n_qubits, 2, 2)
     probs, vecs = hermitian_eigenpairs(rho.matrix)
     if probs.min() < -1e-9:
         raise ValueError(f"density operator is not PSD: min eigenvalue {probs.min():.3e}")

@@ -10,7 +10,8 @@ Every type in this module is an immutable value after construction; no
 operation mutates its inputs.  Each input rule has its one check here:
 ``_ascii_integer`` reads ASCII digits, ``parse_qubit`` a qubit label, and
 ``_check_count``, ``_check_qubit``, ``_check_kway``, ``su2_rotation`` and ``_rng``
-check a qubit count, a qubit, a K, a rotation parameter and a seed everywhere.
+check a qubit count, a qubit, a K, a rotation parameter and a seed everywhere;
+``_check_count`` is also the owner of the count each measure and check needs.
 """
 from __future__ import annotations
 
@@ -98,11 +99,13 @@ def _check_integer(x: object, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
 
 
-def _check_count(n: int, least: int = 1) -> None:
-    """Raise unless n is an integer in [least, MAX_QUBITS]: the qubit counts supported."""
+def _check_count(n: int, least: int = 1, most: int = MAX_QUBITS) -> None:
+    """Raise unless n is an integer in [least, most]: the one rule for every qubit count."""
     _check_integer(n, "qubit count")
-    if not least <= n <= MAX_QUBITS:
-        raise ValueError(f"requires {least} <= n <= {MAX_QUBITS} qubits, got {reprlib.repr(n)}")
+    if least == most and n != least:
+        raise ValueError(f"requires a {least}-qubit state, got n = {reprlib.repr(n)}")
+    if not least <= n <= most:
+        raise ValueError(f"requires {least} <= n <= {most} qubits, got {reprlib.repr(n)}")
 
 
 def _check_qubit(q: int, n: int) -> None:
@@ -429,7 +432,7 @@ def reduced_density(state: PureState, keep: Sequence[int]) -> DensityOperator:
     for q in keep:
         _check_qubit(q, n)
     if len(set(keep)) != len(keep):
-        raise ValueError(f"keep must be distinct qubits, got {reprlib.repr(keep)}")
+        raise ValueError(f"keep must not repeat a qubit, got {reprlib.repr(keep)}")
     tensor = state.amplitudes.reshape((2,) * n)
     moved = np.moveaxis(tensor, [q - 1 for q in keep], range(len(keep)))
     mat = moved.reshape(2 ** len(keep), -1)

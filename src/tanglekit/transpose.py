@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import DensityOperator, _check_kway, _check_qubit
+from .states import DensityOperator, _check_count, _check_kway, _check_qubit
 
 
 @lru_cache(maxsize=None)
@@ -44,6 +44,7 @@ def _parity_order(m: int) -> tuple[np.ndarray, np.ndarray]:
     distance = _rest_distance(m)
     order = np.argsort(distance[0] & 1, kind="stable")
     ordered = distance[np.ix_(order, order)]
+    order.setflags(write=False)  # the cache hands both to every caller, on every thread
     ordered.setflags(write=False)
     return order, ordered
 
@@ -98,8 +99,7 @@ def decomposition_residual(rho: DensityOperator, p: int) -> float:
     """Max elementwise gap between the global transpose and its K-way resolution."""
     n = rho.n_qubits
     _check_qubit(p, n)
-    if n < 2:
-        raise ValueError("decomposition requires at least 2 qubits")
+    _check_count(n, 2)
     total = np.zeros_like(rho.matrix)
     for K in range(2, n + 1):
         total += _transposed(rho, p, K)

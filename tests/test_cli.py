@@ -930,6 +930,63 @@ class TestCheck:
         assert first == second
 
 
+# the computations a measure, check or gen stage can reach, each patched to fail if it runs
+STAGE_FUNCTIONS = ("three_tangle", "four_tangle", "four_invariant", "global_negativity",
+                   "kway_negativity", "enumerate_fonts", "density", "decomposition_residual",
+                   "product_identity_residual", "covariance_check_3", "covariance_check_4",
+                   "lu_invariance_sweep", "cluster4", "_run_stages")
+# (command, flag with its value, least and most qubits it needs, wrong counts)
+COUNT_RULES = [
+    ("measure", ["--tangle3"], 3, 3, (1, 2, 4, 5)),
+    ("measure", ["--tangle4"], 4, 4, (1, 3, 5)),
+    ("check", ["--decomposition"], 2, 10, (1,)),
+    ("check", ["--product-identity"], 3, 3, (1, 2, 4, 5)),
+    ("check", ["--covariance", "B,0.1,0.2"], 3, 4, (1, 2, 5)),
+    ("check", ["--lu-sweep", "10,1"], 3, 4, (1, 2, 5)),
+]
+# valid flags listed before the wrong one, whose stages would run first
+HEAVY_FIRST = {"measure": ["--all", "--fonts", "1"], "check": ["--decomposition"]}
+
+
+def forbid_stages(monkeypatch):
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran before every flag was checked")
+
+    for name in STAGE_FUNCTIONS:
+        monkeypatch.setattr(cli, name, stage)
+
+
+def count_error(flag, least, most, n):
+    """The usage error line of a flag whose state has n qubits, not least to most."""
+    needs = (f"a {least}-qubit state, got n = {n}" if least == most
+             else f"{least} <= n <= {most} qubits, got {n}")
+    return f"tanglekit: {flag} requires {needs}\n"
+
+
+class TestQubitCounts:
+    """A flag on a state of the wrong size exits 2 with the rule's line, led by the flag."""
+
+    @pytest.mark.parametrize("heavy_first", [False, True])
+    @pytest.mark.parametrize("command, flag, least, most, counts", COUNT_RULES,
+                             ids=[rule[1][0] for rule in COUNT_RULES])
+    def test_wrong_count_is_rejected_before_any_stage(self, command, flag, least, most, counts,
+                                                      heavy_first, tmp_path, capsys,
+                                                      monkeypatch):
+        paths = {n: write_state(tmp_path, f"r{n}.json", "random", str(n), capsys=capsys)
+                 for n in counts}
+        forbid_stages(monkeypatch)
+        for n in counts:
+            first = HEAVY_FIRST[command] if heavy_first and n >= 2 else []
+            code, out, err = run_cli([command, str(paths[n]), *first, *flag], capsys)
+            assert (code, out, err) == (2, "", count_error(flag[0], least, most, n))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 10])
+    def test_cluster4_count(self, n, capsys, monkeypatch):
+        forbid_stages(monkeypatch)
+        code, out, err = run_cli(["gen", "cluster4", str(n)], capsys)
+        assert (code, out, err) == (2, "", count_error("cluster4", 4, 4, n))
+
+
 def font_records(fonts, n):
     """The fonts report as one dict per font, the form render_json once wrote it from."""
     label = f"0{n}b"

@@ -12,7 +12,9 @@ thread, lock or other ``threading`` object in ``src`` is made in
 every ``isdigit``, ``isdecimal`` or ``isnumeric`` in ``src`` is in
 ``states._ascii_integer``, the one reader of ASCII integers.  And every
 ``default_rng`` in ``src`` is in ``states._rng``, which checks that a seed is
-an integer before NumPy reads it.
+an integer before NumPy reads it.  And every message about the qubit count a
+state or a measure needs is written in ``states._check_count``, so no module
+restates a count rule of its own.
 """
 import ast
 from pathlib import Path
@@ -28,6 +30,8 @@ THREADER = ("tanglekit/cli.py", "_run_stages")
 DIGIT_READER = ("tanglekit/states.py", "_ascii_integer")
 DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
 SEEDER = ("tanglekit/states.py", "_rng")
+COUNTER = ("tanglekit/states.py", "_check_count")
+COUNT_MESSAGES = ("-qubit state", "qubits, got")
 
 
 def imported_modules(tree):
@@ -312,4 +316,55 @@ def test_generator_guard_sees_every_form():
     assert sorted(generator_uses(tree), key=str) == [
         ("_rng", "default_rng"), ("draw", "default_rng"), ("inner", "default_rng"),
         (None, "default_rng"), (None, "default_rng"),
+    ]
+
+
+def count_messages(tree, owner=None):
+    """(innermost enclosing function, text) for each string in a module that words a count rule.
+
+    A string counts when it contains one of COUNT_MESSAGES, and so does each
+    literal part of an f-string.  Docstrings describe states of a size, and pass.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from count_messages(node, node.name)
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # a docstring, or a bare string that says nothing at run time
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and any(text in node.value for text in COUNT_MESSAGES):
+            yield owner, node.value
+        yield from count_messages(node, owner)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(ROOT)))
+def test_count_rules_are_worded_by_check_count(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module = path.relative_to(ROOT / "src").as_posix()
+    stray = [use for use in count_messages(tree) if (module, use[0]) != COUNTER]
+    assert stray == [], f"{module} words a qubit-count rule outside {COUNTER}"
+
+
+def test_count_message_guard_sees_every_form():
+    tree = ast.parse(
+        '"""Fonts of a 3-qubit state."""\n'
+        "def _check_count(n, least, most):\n"
+        '    """Raise unless n fits: a 3-qubit state, say."""\n'
+        '    raise ValueError(f"requires a {least}-qubit state, got n = {n}")\n'
+        "def _cmd_check(args, n):\n"
+        "    if n != 3:\n"
+        '        raise CliError(f"--product-identity requires a 3-qubit state, got n = {n}")\n'
+        "    def inner():\n"
+        '        return "requires 2 <= n <= 10 qubits, got 1"\n'
+        "    return inner, 'a 3-qubit measure'\n"
+        "class Rules:\n"
+        '    """A 4-qubit state."""\n'
+        '    MESSAGE = "cluster4 is a 4-qubit state"\n'
+    )
+    assert sorted(count_messages(tree), key=str) == [
+        ("_check_count", "-qubit state, got n = "),
+        ("_cmd_check", "--product-identity requires a 3-qubit state, got n = "),
+        ("inner", "requires 2 <= n <= 10 qubits, got 1"),
+        (None, "cluster4 is a 4-qubit state"),
     ]

@@ -38,7 +38,7 @@ from tanglekit.spectra import (
     _secular_roots,
     singular_value_decomposition,
 )
-from tanglekit.transpose import _kway_selection, _parity_order
+from tanglekit.transpose import _kway_selection, _parity_order, _rest_distance
 
 from oracles import dense_kway_negativity
 
@@ -241,6 +241,39 @@ class TestKWayNegativity:
         for operand in (density(state), mixed, density(state).matrix, state.amplitudes):
             with pytest.raises(TypeError, match="PureState"):
                 kway_negativity(operand, 1, 3)
+
+
+# every qubit at n = 3..8, the first and the last at n = 9 and 10
+GOLDEN_CASES = [(n, p) for n in range(3, 9) for p in range(1, n + 1)]
+GOLDEN_CASES += [(n, p) for n in (9, 10) for p in (1, n)]
+
+
+class TestGoldenFamilies:
+    """K-way negativities of GHZ and W states, known exactly: no oracle is needed."""
+
+    @pytest.mark.parametrize("n, p", GOLDEN_CASES)
+    def test_ghz_is_one_at_k_equal_n_only(self, n, p):
+        state = ghz(n)
+        for K in range(2, n + 1):
+            expected = 1.0 if K == n else 0.0
+            assert abs(kway_negativity(state, p, K) - expected) < 1e-13, K
+
+    @pytest.mark.parametrize("n, p", GOLDEN_CASES)
+    def test_w_is_two_way_only(self, n, p):
+        # the 2-way transpose of W_n is its global one: N = 2 sqrt(n - 1) / n
+        state = w_state(n)
+        for K in range(2, n + 1):
+            expected = 2.0 * math.sqrt(n - 1) / n if K == 2 else 0.0
+            assert abs(kway_negativity(state, p, K) - expected) < 1e-13, K
+
+
+@pytest.mark.parametrize("m", range(10))
+def test_cached_tables_refuse_writes(m):
+    # the caches hand the same arrays to every K-way value, on every stage thread
+    for table in (_rest_distance(m), *_parity_order(m)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 1
 
 
 def plus_on_first_qubit(n, seed):

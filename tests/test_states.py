@@ -10,11 +10,22 @@ from tanglekit import (
     PureState,
     apply_local_unitary,
     cluster4,
+    concurrence_2q,
+    covariance_check_3,
+    covariance_check_4,
+    decomposition_residual,
     density,
     enumerate_fonts,
+    font_negativity_2q,
+    four_invariant,
+    four_qubit_fonts,
+    four_tangle,
     ghz,
     haar_unitary,
+    lu_invariance_sweep,
     make_state,
+    monogamy_residual,
+    product_identity_residual,
     product_state,
     random_local_unitary,
     random_product_state,
@@ -23,9 +34,11 @@ from tanglekit import (
     state_from_payload,
     state_to_payload,
     su2_rotation,
+    three_qubit_fonts,
+    three_tangle,
     w_state,
 )
-from tanglekit.states import parse_qubit
+from tanglekit.states import _check_count, parse_qubit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -399,6 +412,57 @@ class TestValidation:
     def test_density_operator_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(1, np.diag([1.0, 1.0]))
+
+
+class TestCheckCount:
+    """``_check_count`` is the one rule for a qubit count: a state's, and each measure's."""
+
+    @pytest.mark.parametrize("n, least, most, message", [
+        (4, 3, 3, "requires a 3-qubit state, got n = 4"),
+        (2, 4, 4, "requires a 4-qubit state, got n = 2"),
+        (0, 1, 10, "requires 1 <= n <= 10 qubits, got 0"),
+        (11, 1, 10, "requires 1 <= n <= 10 qubits, got 11"),
+        (1, 2, 10, "requires 2 <= n <= 10 qubits, got 1"),
+        (5, 3, 4, "requires 3 <= n <= 4 qubits, got 5"),
+        (2, 3, 4, "requires 3 <= n <= 4 qubits, got 2"),
+        (3.0, 3, 3, "qubit count must be an integer, got 3.0"),
+    ])
+    def test_message(self, n, least, most, message):
+        with pytest.raises(ValueError) as raised:
+            _check_count(n, least, most)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("n, least, most", [(3, 3, 3), (3, 3, 4), (4, 3, 4), (2, 2, 10),
+                                                (1, 1, 10), (10, 1, 10)])
+    def test_accepts_the_counts_in_range(self, n, least, most):
+        assert _check_count(n, least, most) is None
+
+    # (function of a qubit count that builds its input, wrong counts, least, most)
+    @pytest.mark.parametrize("call, counts, least, most", [
+        (lambda n: three_qubit_fonts(random_state(n, 0)), (2, 4), 3, 3),
+        (lambda n: three_tangle(random_state(n, 0)), (1, 4), 3, 3),
+        (lambda n: product_identity_residual(random_state(n, 0)), (2, 4), 3, 3),
+        (lambda n: covariance_check_3(random_state(n, 0), 0.3), (4,), 3, 3),
+        (lambda n: monogamy_residual(random_state(n, 0)), (4,), 3, 3),
+        (lambda n: four_qubit_fonts(random_state(n, 0)), (3, 5), 4, 4),
+        (lambda n: four_invariant(random_state(n, 0)), (3,), 4, 4),
+        (lambda n: four_tangle(random_state(n, 0)), (2, 5), 4, 4),
+        (lambda n: covariance_check_4(random_state(n, 0), "A", 0.3), (3, 5), 4, 4),
+        (lambda n: lu_invariance_sweep(random_state(n, 0), 10, 0), (1, 2, 5, 10), 3, 4),
+        (lambda n: font_negativity_2q(random_state(n, 0)), (1, 3), 2, 2),
+        (lambda n: concurrence_2q(density(random_state(n, 0))), (1, 3), 2, 2),
+        (lambda n: decomposition_residual(density(random_state(n, 0)), 1), (1,), 2, 10),
+    ], ids=["three_qubit_fonts", "three_tangle", "product_identity_residual",
+            "covariance_check_3", "monogamy_residual", "four_qubit_fonts", "four_invariant",
+            "four_tangle", "covariance_check_4", "lu_invariance_sweep", "font_negativity_2q",
+            "concurrence_2q", "decomposition_residual"])
+    def test_library_raises_the_rule(self, call, counts, least, most):
+        for n in counts:
+            with pytest.raises(ValueError) as rule:
+                _check_count(n, least, most)
+            with pytest.raises(ValueError) as raised:
+                call(n)
+            assert str(raised.value) == str(rule.value)
 
 
 class TestParseQubit:

@@ -92,11 +92,12 @@ def _frozen_copy(value: object, name: str, shape: tuple[int, ...]) -> np.ndarray
 
 
 def _check_integer(x: object, what: str) -> None:
-    """Raise ValueError unless operator.index reads x: 3.0 and 2.5 are not integers."""
-    try:
-        operator.index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
+    """Raise ValueError unless operator.index reads x and x is no bool: not 3.0, 2.5 or True."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(x, bool):  # operator.index reads True as 1
+            operator.index(x)
+            return
+    raise ValueError(f"{what} must be an integer, got {reprlib.repr(x)}")
 
 
 def _check_count(n: int, least: int = 1, most: int = MAX_QUBITS) -> None:
@@ -471,8 +472,6 @@ def state_from_payload(obj: dict) -> PureState:
         raw_entries = obj["amplitudes"]
     except KeyError as exc:
         raise ValueError(f"malformed state payload: missing {exc}") from exc
-    if type(n) is not int:  # rejects bool and float as well
-        raise ValueError(f"n_qubits must be an integer, got {reprlib.repr(n)}")
     if not isinstance(raw_entries, list):
         raise ValueError("amplitudes must be a list")
     entries = []

@@ -27,6 +27,7 @@ from tanglekit import (
 from tanglekit import cli
 from tanglekit.cli import _fonts_json, main
 from tanglekit.reporting import format_float, render_json
+from tanglekit.states import _check_count
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -330,6 +331,24 @@ class TestMeasure:
         assert err.count("\n") == 1 and len(err) < 200
         if position is not None:
             assert f"malformed amplitude entry {position}: " in err
+
+    @pytest.mark.parametrize("count", ["true", "2.5", '"3"', "0", "11"])
+    def test_state_file_count_is_read_by_the_count_rule(self, count, tmp_path, capsys):
+        path = tmp_path / "count.json"
+        path.write_text('{"n_qubits": %s, "amplitudes": [{"index": "0", "re": 1, "im": 0}]}'
+                        % count)
+        with pytest.raises(ValueError) as rule:
+            _check_count(json.loads(count))
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert (code, out, err) == (4, "", f"tanglekit: {path}: {rule.value}\n")
+
+    def test_malformed_entry_is_named_before_a_bad_count(self, tmp_path, capsys):
+        # the entries are read before make_state checks the count
+        path = tmp_path / "both.json"
+        path.write_text('{"n_qubits": 2.5, "amplitudes": [{"index": "0", "re": "1", "im": 0}]}')
+        code, out, err = run_cli(["measure", str(path), "--negativity", "1"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"tanglekit: {path}: malformed amplitude entry 0: ")
 
     def test_negativity_kway_fonts(self, tmp_path, capsys):
         path = write_state(tmp_path, "bell.json", "ghz", "2", capsys=capsys)

@@ -1,86 +1,174 @@
-"""NumPy is the only runtime dependency and pytest the only test dependency.
-
-SciPy may be installed where the tests run, so an import of it would pass
-here and break elsewhere; this test reads every module's imports instead.
-It also reads every call in ``src``: each eigensolve and SVD goes through
-one of the three ``spectra`` functions that check their input, and which
-the benchmark's tracer wraps.  And every write to stdout or stderr in
-``src`` goes through ``cli._write_report`` or ``cli._diagnose``, which keep
-the exit codes when a stream fails and a report whole on stdout.  And every
-thread, lock or other ``threading`` object in ``src`` is made in
-``cli._run_stages``, the one place that shares state between threads.  And
-every ``isdigit``, ``isdecimal`` or ``isnumeric`` in ``src`` is in
-``states._ascii_integer``, the one reader of ASCII integers.  And every
-``default_rng`` in ``src`` is in ``states._rng``, which checks that a seed is
-an integer before NumPy reads it.  And every message about the qubit count a
-state or a measure needs is written in ``states._check_count``, so no module
-restates a count rule of its own.
+"""Each row of ``RULES`` names a rule or a shared resource and the one function in ``src``
+that may use it.  NumPy is the only runtime dependency: SciPy may be installed where the
+tests run, so an import of it would pass here and break elsewhere, and imports are read too.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-FACTORISERS = {"hermitian_eigenvalues", "hermitian_eigenpairs", "singular_value_decomposition"}
-WRITERS = {"stdout": ("tanglekit/cli.py", "_write_report"),
-           "stderr": ("tanglekit/cli.py", "_diagnose")}
-THREADER = ("tanglekit/cli.py", "_run_stages")
-DIGIT_READER = ("tanglekit/states.py", "_ascii_integer")
-DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
-SEEDER = ("tanglekit/states.py", "_rng")
-COUNTER = ("tanglekit/states.py", "_check_count")
-COUNT_MESSAGES = ("-qubit state", "qubits, got")
+SRC = sorted(path.relative_to(ROOT) for path in (ROOT / "src").rglob("*.py"))
+SOURCES = SRC + sorted(path.relative_to(ROOT) for path in (ROOT / "tests").rglob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def imported_modules(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
+def parse(path):
+    return ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=str(path))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
+def uses(tree, match, outermost=False, owner=None):
+    """(innermost, or outermost, enclosing function or None, name) for each name ``match``
+    finds on a node of ``tree``, skipping bare strings such as docstrings."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        yield from ((owner, name) for name in match(node))
+        inner = node.name if isinstance(node, FUNCTIONS) and not (outermost and owner) else owner
+        yield from uses(node, match, outermost, inner)
+
+
+def imported(node, module):
+    """The names a ``from <module> import`` binds, whose later bare uses would pass unseen."""
+    if isinstance(node, ast.ImportFrom) and node.module == module:
+        return [alias.name for alias in node.names]
+    return []
+
+
+def imports(node):
+    """The absolute modules an import names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+
+
+def factorisations(node):
+    """A NumPy eig* or svd routine called as ``<x>.linalg.<routine>`` or imported by name."""
+    names = imported(node, "numpy.linalg")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg":
+        names = [node.func.attr]
+    return [name for name in names if name.startswith("eig") or name == "svd"]
+
+
+def standard_stream(node):
+    """'stdout' or 'stderr' for ``sys.stdout``, ``sys.__stderr__.buffer`` and the like."""
+    found = re.fullmatch(r"sys\._*(stdout|stderr)_*(\.buffer)?", ast.unparse(node))
+    return found[1] if found else None
+
+
+def stream_writes(node):
+    """The stream of a ``write`` or ``writelines`` on stdout or stderr, a ``print`` to one (a
+    missing or None ``file`` is stdout), an ``os.write`` to fd 1 or 2, or a ``from sys import``."""
+    streams = [name.strip("_") for name in imported(node, "sys")]
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write", "writelines"):
+            streams = [standard_stream(func.value)]
+            fd = node.args[0] if node.args else None
+            if isinstance(func.value, ast.Name) and func.value.id == "os" \
+                    and isinstance(fd, ast.Constant) and fd.value in (1, 2):
+                streams = [("stdout", "stderr")[fd.value - 1]]
+        elif isinstance(func, ast.Name) and func.id == "print":
+            target = next((kw.value for kw in node.keywords if kw.arg == "file"), None)
+            none = target is None or isinstance(target, ast.Constant) and target.value is None
+            streams = ["stdout" if none else standard_stream(target)]
+    return [stream for stream in streams if stream in ("stdout", "stderr")]
+
+
+def threading_uses(node):
+    """``threading.<name>``, a name imported from threading, or an ``import threading as``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "threading":
+        return [node.attr]
+    if isinstance(node, ast.Import):
+        return [f"as {alias.asname}" for alias in node.names
+                if alias.name == "threading" and alias.asname]
+    return imported(node, "threading")
+
+
+def named(*names):
+    """A matcher of these names as an attribute or a bare name, called or not, or imported."""
+    def match(node):
+        found = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else \
+            [getattr(node, "attr", None), getattr(node, "id", None)]  # an Attribute's, a Name's
+        return [name for name in found if name in names]
+    return match
+
+
+digit_tests = named("isdigit", "isdecimal", "isnumeric")
+generator_uses = named("default_rng")
+
+
+def count_messages(node):
+    """A string, or a literal part of an f-string, that words a qubit-count rule."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and any(text in node.value for text in ("-qubit state", "qubits, got")):
+        return [node.value]
+    return []
+
+
+def integer_tests(node):
+    """``operator.index``, ``index`` imported from operator, or ``type(<x>) is [not] int``."""
+    text = ast.unparse(node) if isinstance(node, (ast.Attribute, ast.Compare)) else ""
+    if text == "operator.index" or re.fullmatch(r"type\(.+\) is (not )?int", text):
+        return [text]
+    return [name for name in imported(node, "operator") if name == "index"]
+
+
+# rule: (matcher, whether the outermost function owns a use, {name, or None for any: owner})
+RULES = {
+    # each eigensolve and SVD goes through the spectra function that checks its input
+    "factorisation": (factorisations, False, {
+        "eigvalsh": ("tanglekit/spectra.py", "hermitian_eigenvalues"),
+        "eigh": ("tanglekit/spectra.py", "hermitian_eigenpairs"),
+        "svd": ("tanglekit/spectra.py", "singular_value_decomposition")}),
+    # each write to stdout or stderr goes through the writer that keeps the exit codes
+    "stream-write": (stream_writes, False, {"stdout": ("tanglekit/cli.py", "_write_report"),
+                                            "stderr": ("tanglekit/cli.py", "_diagnose")}),
+    # each thread, lock and event is made by the one function that shares state between threads
+    "threading": (threading_uses, True, {None: ("tanglekit/cli.py", "_run_stages")}),
+    # ASCII digits are read by the one reader of CLI integers
+    "digit-test": (digit_tests, False, {None: ("tanglekit/states.py", "_ascii_integer")}),
+    # each generator is made from a seed checked to be an integer
+    "generator": (generator_uses, False, {None: ("tanglekit/states.py", "_rng")}),
+    # each qubit count a state, a measure or a check needs is worded by the one count rule
+    "count-message": (count_messages, False, {None: ("tanglekit/states.py", "_check_count")}),
+    # an integer is told from a float, a string or a bool by the one integer rule
+    "integer": (integer_tests, False, {None: ("tanglekit/states.py", "_check_integer")}),
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=str)
 def test_no_scipy_import(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    scipy = [name for name in imported_modules(tree) if name.split(".")[0] == "scipy"]
-    assert scipy == [], f"{path.relative_to(ROOT)} imports {scipy}"
+    scipy = [name for _, name in uses(parse(path), imports) if name.split(".")[0] == "scipy"]
+    assert scipy == [], f"{path} imports {scipy}"
 
 
 def test_guard_sees_both_import_forms():
     tree = ast.parse("import scipy.linalg\nfrom scipy import sparse\nfrom . import scipy\n")
-    assert list(imported_modules(tree)) == ["scipy.linalg", "scipy"]
+    assert [name for _, name in uses(tree, imports)] == ["scipy.linalg", "scipy"]
 
 
-def factorisations(tree, owner=None):
-    """(innermost enclosing function, routine) for each NumPy eig* or svd reached in a module.
-
-    A call ``<x>.linalg.<routine>(...)`` counts, and so does a ``from numpy.linalg import``
-    of such a routine, since its later bare calls would pass unseen.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from factorisations(node, node.name)
-            continue
-        names = []
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            base = node.func.value
-            if isinstance(base, ast.Attribute) and base.attr == "linalg":
-                names = [node.func.attr]
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            names = [alias.name for alias in node.names]
-        yield from ((owner, name) for name in names if name.startswith("eig") or name == "svd")
-        yield from factorisations(node, owner)
+@pytest.mark.parametrize("path, rule", [(path, rule) for path in SRC for rule in RULES], ids=str)
+def test_each_rule_has_one_owner(path, rule):
+    match, outermost, owners = RULES[rule]
+    module = path.relative_to("src").as_posix()
+    stray = [(owner, name) for owner, name in uses(parse(path), match, outermost)
+             if (module, owner) != owners.get(name, owners.get(None))]
+    assert stray == [], f"{module} breaks the {rule} rule outside {owners}: {stray}"
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_every_factorisation_goes_through_spectra(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    stray = [call for call in factorisations(tree) if call[0] not in FACTORISERS]
-    assert stray == [], f"{path.relative_to(ROOT)} factorises outside {sorted(FACTORISERS)}"
+@pytest.mark.parametrize("rule", RULES)
+def test_every_owner_makes_its_use(rule):
+    # a matcher that silently stopped matching would pass every module
+    match, outermost, owners = RULES[rule]
+    for name, (module, function) in owners.items():
+        tree = parse(Path("src", module))
+        assert function in {node.name for node in ast.walk(tree) if isinstance(node, FUNCTIONS)}
+        found = [use for owner, use in uses(tree, match, outermost) if owner == function]
+        assert found if name is None else name in found, f"{rule}: {function} makes no {name}"
 
 
 def test_factorisation_guard_sees_every_form():
@@ -95,61 +183,10 @@ def test_factorisation_guard_sees_every_form():
         "    return inner(np.linalg.eigvalsh(m)), np.linalg.norm(m)\n"
         "top = np.linalg.eig(np.eye(2))\n"
     )
-    assert sorted(factorisations(tree), key=str) == [
+    assert sorted(uses(tree, factorisations), key=str) == [
         ("hermitian_eigenpairs", "eigh"), ("inner", "svd"), ("outer", "eigvalsh"),
         (None, "eig"), (None, "eigvals"),
     ]
-
-
-def standard_stream(node):
-    """'stdout' or 'stderr' for ``sys.stdout``, ``sys.__stderr__`` and the like (or its
-    ``.buffer``), else None."""
-    if isinstance(node, ast.Attribute) and node.attr == "buffer":
-        node = node.value
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id == "sys" and node.attr.strip("_") in ("stdout", "stderr"):
-        return node.attr.strip("_")
-    return None
-
-
-def stream_writes(tree, owner=None):
-    """(innermost enclosing function, stream) for each write to stdout or stderr in a module.
-
-    A write is a ``write`` or ``writelines`` on a standard stream, a ``print``
-    to one (a missing or None ``file`` is stdout) or an ``os.write`` to fd 1
-    or 2.  A ``from sys import`` of a stream counts too, since its later
-    writes would pass unseen.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from stream_writes(node, node.name)
-            continue
-        streams = []
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in ("write", "writelines"):
-                streams = [standard_stream(func.value)]
-                fd = node.args[0] if node.args else None
-                if isinstance(func.value, ast.Name) and func.value.id == "os" \
-                        and isinstance(fd, ast.Constant) and fd.value in (1, 2):
-                    streams = [("stdout", "stderr")[fd.value - 1]]
-            elif isinstance(func, ast.Name) and func.id == "print":
-                target = next((kw.value for kw in node.keywords if kw.arg == "file"), None)
-                none = target is None or isinstance(target, ast.Constant) and target.value is None
-                streams = ["stdout" if none else standard_stream(target)]
-        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
-            streams = [alias.name.strip("_") for alias in node.names]
-        yield from ((owner, stream) for stream in streams if stream in WRITERS)
-        yield from stream_writes(node, owner)
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_every_stream_write_goes_through_its_cli_writer(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    module = path.relative_to(ROOT / "src").as_posix()
-    stray = [write for write in stream_writes(tree) if (module, write[0]) != WRITERS[write[1]]]
-    assert stray == [], f"{module} writes outside {WRITERS}"
 
 
 def test_writer_guard_sees_every_form():
@@ -172,43 +209,11 @@ def test_writer_guard_sees_every_form():
         "    print(text, file=handle)\n"
         "    os.write(3, b'')\n"
     )
-    assert sorted(stream_writes(tree), key=str) == [
+    assert sorted(uses(tree, stream_writes), key=str) == [
         ("report", "stdout"), ("report", "stdout"), ("report", "stdout"), ("report", "stdout"),
         ("warn", "stderr"), ("warn", "stderr"), ("warn", "stderr"),
         (None, "stderr"), (None, "stdout"),
     ]
-
-
-def threading_uses(tree, owner=None):
-    """(outermost enclosing function, name) for each ``threading`` attribute used in a module.
-
-    ``threading.<name>`` counts, and so do a ``from threading import`` and an
-    ``import threading as``, since their later uses would pass unseen.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from threading_uses(node, owner or node.name)
-            continue
-        names = []
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "threading":
-            names = [node.attr]
-        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [f"as {alias.asname}" for alias in node.names
-                     if alias.name == "threading" and alias.asname]
-        yield from ((owner, name) for name in names)
-        yield from threading_uses(node, owner)
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_threads_live_in_the_stage_runner(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    module = path.relative_to(ROOT / "src").as_posix()
-    stray = [use for use in threading_uses(tree) if (module, use[0]) != THREADER]
-    assert stray == [], f"{module} uses threading outside {THREADER}"
 
 
 def test_threading_guard_sees_every_form():
@@ -225,34 +230,10 @@ def test_threading_guard_sees_every_form():
         "    return threading.Event\n"
         "top = threading.active_count()\n"
     )
-    assert sorted(threading_uses(tree), key=str) == [
+    assert sorted(uses(tree, threading_uses, outermost=True), key=str) == [
         ("other", "Event"), ("run_stages", "Lock"), ("run_stages", "get_ident"),
         (None, "Lock"), (None, "active_count"), (None, "as t"),
     ]
-
-
-def digit_tests(tree, owner=None):
-    """(innermost enclosing function, name) for each isdigit, isdecimal or isnumeric in a module.
-
-    Any attribute of those names counts, called or not, so ``str.isdigit``
-    handed to ``filter`` is seen too.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from digit_tests(node, node.name)
-            continue
-        if isinstance(node, ast.Attribute) and node.attr in DIGIT_TESTS:
-            yield owner, node.attr
-        yield from digit_tests(node, owner)
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_digits_are_read_by_ascii_integer(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    module = path.relative_to(ROOT / "src").as_posix()
-    stray = [use for use in digit_tests(tree) if (module, use[0]) != DIGIT_READER]
-    assert stray == [], f"{module} reads digits outside {DIGIT_READER}"
 
 
 def test_digit_guard_sees_every_form():
@@ -265,40 +246,10 @@ def test_digit_guard_sees_every_form():
         "    return list(filter(str.isnumeric, text)), inner(text), text.isalpha()\n"
         "top = '3'.isdigit()\n"
     )
-    assert sorted(digit_tests(tree), key=str) == [
+    assert sorted(uses(tree, digit_tests), key=str) == [
         ("_ascii_integer", "isdigit"), ("inner", "isdecimal"), ("parse", "isnumeric"),
         (None, "isdigit"),
     ]
-
-
-def generator_uses(tree, owner=None):
-    """(innermost enclosing function, 'default_rng') for each use of default_rng in a module.
-
-    An attribute or a bare name counts, called or not, and so does a ``from numpy.random
-    import`` of it, since its later bare calls would pass unseen.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from generator_uses(node, node.name)
-            continue
-        names = []
-        if isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        elif isinstance(node, ast.ImportFrom):
-            names = [alias.name for alias in node.names]
-        yield from ((owner, name) for name in names if name == "default_rng")
-        yield from generator_uses(node, owner)
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_generators_are_made_by_rng(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    module = path.relative_to(ROOT / "src").as_posix()
-    stray = [use for use in generator_uses(tree) if (module, use[0]) != SEEDER]
-    assert stray == [], f"{module} makes a generator outside {SEEDER}"
 
 
 def test_generator_guard_sees_every_form():
@@ -313,37 +264,10 @@ def test_generator_guard_sees_every_form():
         "    return inner(seed), map(np.random.default_rng, [seed]), np.random.random()\n"
         "top = numpy.random.default_rng(0)\n"
     )
-    assert sorted(generator_uses(tree), key=str) == [
+    assert sorted(uses(tree, generator_uses), key=str) == [
         ("_rng", "default_rng"), ("draw", "default_rng"), ("inner", "default_rng"),
         (None, "default_rng"), (None, "default_rng"),
     ]
-
-
-def count_messages(tree, owner=None):
-    """(innermost enclosing function, text) for each string in a module that words a count rule.
-
-    A string counts when it contains one of COUNT_MESSAGES, and so does each
-    literal part of an f-string.  Docstrings describe states of a size, and pass.
-    """
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from count_messages(node, node.name)
-            continue
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            continue  # a docstring, or a bare string that says nothing at run time
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and any(text in node.value for text in COUNT_MESSAGES):
-            yield owner, node.value
-        yield from count_messages(node, owner)
-
-
-@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
-                         ids=lambda path: str(path.relative_to(ROOT)))
-def test_count_rules_are_worded_by_check_count(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    module = path.relative_to(ROOT / "src").as_posix()
-    stray = [use for use in count_messages(tree) if (module, use[0]) != COUNTER]
-    assert stray == [], f"{module} words a qubit-count rule outside {COUNTER}"
 
 
 def test_count_message_guard_sees_every_form():
@@ -362,9 +286,25 @@ def test_count_message_guard_sees_every_form():
         '    """A 4-qubit state."""\n'
         '    MESSAGE = "cluster4 is a 4-qubit state"\n'
     )
-    assert sorted(count_messages(tree), key=str) == [
+    assert sorted(uses(tree, count_messages), key=str) == [
         ("_check_count", "-qubit state, got n = "),
         ("_cmd_check", "--product-identity requires a 3-qubit state, got n = "),
         ("inner", "requires 2 <= n <= 10 qubits, got 1"),
         (None, "cluster4 is a 4-qubit state"),
+    ]
+
+
+def test_integer_guard_sees_every_form():
+    tree = ast.parse(
+        "from operator import index, itemgetter\n"
+        "def _check_integer(x):\n"
+        "    operator.index(x)\n"
+        "def load(n, value):\n"
+        "    ok = type(n) is not int or isinstance(value, int) or type(value) in (int, float)\n"
+        "    return ok, map(operator.index, [n]), operator.itemgetter(0)\n"
+        "top = type(3) is int, type(3) is bool, type(3) == int\n"
+    )
+    assert sorted(uses(tree, integer_tests), key=str) == [
+        ("_check_integer", "operator.index"), ("load", "operator.index"),
+        ("load", "type(n) is not int"), (None, "index"), (None, "type(3) is int"),
     ]

@@ -16,12 +16,16 @@ from tanglekit import (
     decomposition_residual,
     density,
     enumerate_fonts,
+    font_minors,
     font_negativity_2q,
     four_invariant,
     four_qubit_fonts,
     four_tangle,
     ghz,
+    global_negativity,
     haar_unitary,
+    kway_negativity,
+    kway_pt,
     lu_invariance_sweep,
     make_state,
     monogamy_residual,
@@ -38,7 +42,7 @@ from tanglekit import (
     three_tangle,
     w_state,
 )
-from tanglekit.states import _check_count, parse_qubit
+from tanglekit.states import _check_count, _rng, parse_qubit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -463,6 +467,36 @@ class TestCheckCount:
             with pytest.raises(ValueError) as raised:
                 call(n)
             assert str(raised.value) == str(rule.value)
+
+
+class TestBoolIsNotAnInteger:
+    """``_check_integer`` refuses a bool, which operator.index would read as 0 or 1."""
+
+    # (entry point given the bool, what the message calls it)
+    @pytest.mark.parametrize("call, what", [
+        (lambda b: PureState(b, np.array([1.0, 0.0])), "qubit count"),
+        (lambda b: make_state(b, [("0", 1.0)]), "qubit count"),
+        (lambda b: random_state(b, 0), "qubit count"),
+        (lambda b: random_product_state(b, 0), "qubit count"),
+        (lambda b: ghz(b), "qubit count"),
+        (lambda b: global_negativity(random_state(3, 5), b), "qubit"),
+        (lambda b: kway_negativity(random_state(3, 5), b, 3), "qubit"),
+        (lambda b: kway_pt(density(random_state(3, 5)), b, 2), "qubit"),
+        (lambda b: font_minors(random_state(3, 5), b), "qubit"),
+        (lambda b: reduced_density(random_state(3, 5), [b, 2]), "qubit"),
+        (lambda b: lu_invariance_sweep(random_state(3, 5), b, 0), "trials"),
+        (lambda b: LocalUnitary(b, np.eye(2)), "target qubit"),
+        (lambda b: random_local_unitary(b, 0), "target qubit"),
+        (lambda b: _rng(b), "seed"),
+    ], ids=["PureState", "make_state", "random_state", "random_product_state", "ghz",
+            "global_negativity", "kway_negativity", "kway_pt", "font_minors", "reduced_density",
+            "lu_invariance_sweep", "LocalUnitary", "random_local_unitary", "_rng"])
+    @pytest.mark.parametrize("b", [True, np.True_], ids=["True", "np.True_"])
+    def test_entry_points_refuse_a_bool(self, call, what, b):
+        # True passed as 1: a one-qubit state whose n_qubits is True, or qubit 1's value
+        with pytest.raises(ValueError) as raised:
+            call(b)
+        assert str(raised.value) == f"{what} must be an integer, got {b!r}"
 
 
 class TestParseQubit:

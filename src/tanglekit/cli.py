@@ -48,7 +48,7 @@ from .invariants import (
     product_identity_residual,
     three_tangle,
 )
-from .reporting import Rendered, _bracketed, format_float, render_json
+from .reporting import _SLOT, Rendered, _float_slots, render_json
 from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
 from .spectra import _CLOSED_FORM, _kway_route  # the routes measure --trace names
 from .states import (
@@ -83,7 +83,7 @@ CHECK_TOL = 1e-8
 _GENERATORS = {"ghz": lambda n, seed: ghz(n), "w": lambda n, seed: w_state(n),
                "cluster4": lambda n, seed: cluster4(), "product": random_product_state,
                "random": random_state}
-# rows of a fonts report formatted by one % call
+# rows of a fonts report built as one byte array
 _FONT_BLOCK_ROWS = 1024
 # about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
 _MAX_SWEEP_TRIALS = 10_000_000
@@ -159,7 +159,8 @@ def _write_report(report: dict, path: str | None = None) -> None:
         if path is None:
             if sys.stdout is None:  # what Python makes of an fd 1 closed at start-up
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-            sys.stdout.write(text)
+            for start in range(0, len(text), 1 << 16):  # no whole encoded copy of the text
+                sys.stdout.write(text[start:start + (1 << 16)])
             sys.stdout.write("\n")
             sys.stdout.flush()
         else:
@@ -188,32 +189,37 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _fonts_json(fonts: Fonts, n: int) -> Rendered:
     """The fonts as a JSON list of objects, one row of the Fonts columns each.
 
-    Rows go through one % call per block of _FONT_BLOCK_ROWS, so only one
-    block's values are Python objects at a time.
+    Each block of _FONT_BLOCK_ROWS rows is one byte array, a row of fixed-width fields
+    with NUL where a text is shorter than its field: the keys, the labels, k, the floats'
+    slots from _float_slots and negligible.  JSON text has no NUL, so dropping them leaves
+    the block's text, which goes into one buffer for the whole list.
     """
-    floats = (fonts.det.real, fonts.det.imag, fonts.lambda_minus)
-    # %.17g is format_float on finite non-integral doubles; rows with any other value take the rule
-    ruled = np.logical_or.reduce([(c == np.trunc(c)) | ~np.isfinite(c) for c in floats])
-    label = np.array([index_to_bits(x, n) for x in range(2**n)], dtype=object)
-    columns = (label[fonts.i], label[fonts.j], fonts.k, *floats,
-               np.take(np.array(["false", "true"], dtype=object), fonts.negligible))
-    row = ('{"i": "%s", "j": "%s", "p": ' + str(fonts.p) + ', "k": %d, "det_re": %.17g, '
-           '"det_im": %.17g, "lambda_minus": %.17g, "negligible": %s}')
-    ruled_row = row.replace("%.17g", "%s")
-    parts = []
+    label = np.array([index_to_bits(x, n) for x in range(2**n)], dtype=bytes)
+    ks, k_at = np.unique(fonts.k, return_inverse=True)
+    k_text = np.array([str(k) for k in ks.tolist()], dtype=bytes)
+    keys = [np.broadcast_to(np.frombuffer(key.encode(), np.uint8), (_FONT_BLOCK_ROWS, len(key)))
+            for key in (', {"i": "', '", "j": "', f'", "p": {fonts.p}, "k": ', ', "det_re": ',
+                        ', "det_im": ', ', "lambda_minus": ', ', "negligible": ')]
+    width = sum(key.shape[1] for key in keys) + 2 * n + k_text.itemsize + 3 * _SLOT + len("false}")
+    text = np.empty(2 + len(fonts) * width, np.uint8)  # "[", at most width bytes a row, "]"
+    text[0], end = ord("["), 1
     for start in range(0, len(fonts), _FONT_BLOCK_ROWS):
         block = slice(start, start + _FONT_BLOCK_ROWS)
-        marks = ruled[block]
-        values = [None] * (7 * marks.size)  # row r's seven values at 7 r .. 7 r + 6
-        for offset, column in enumerate(columns):
-            values[offset::7] = column[block].tolist()
-        for r in np.flatnonzero(marks).tolist():
-            values[7 * r + 3 : 7 * r + 6] = map(format_float, values[7 * r + 3 : 7 * r + 6])
-        template = ", ".join([ruled_row if mark else row for mark in marks.tolist()])
-        parts += (", ", template % tuple(values))
-    text = _bracketed("[", parts, "]")
-    parts.clear()  # the blocks go before Rendered copies the text
-    return Rendered(text)
+        slots = _float_slots(np.stack(
+            [fonts.det.real[block], fonts.det.imag[block], fonts.lambda_minus[block]], axis=-1))
+        i, j, k, negligible = (column.view(np.uint8).reshape(len(slots), -1) for column in (
+            label[fonts.i[block]], label[fonts.j[block]], k_text[k_at[block]],
+            np.where(fonts.negligible[block], b"true}", b"false}")))
+        values = (i, j, k, slots[:, 0], slots[:, 1], slots[:, 2], negligible)
+        table = np.concatenate([piece for key, value in zip(keys, values)
+                                for piece in (key[:len(value)], value)], axis=1)
+        rows = table[table != 0][2 if start == 0 else 0:]  # the first row has no ", "
+        text[end:end + rows.size] = rows
+        end += rows.size
+    text[end] = ord("]")
+    decoded = str(memoryview(text)[:end + 1], "ascii")
+    del text  # the buffer goes before Rendered copies the text
+    return Rendered(decoded)
 
 
 def _stage_workers(stages: int) -> int:

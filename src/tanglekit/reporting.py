@@ -2,14 +2,24 @@
 
 format_float is the one float rule: 17 significant digits (round-trip exact
 for IEEE doubles), always a decimal point or exponent so they read back as
-floats, -0.0 as 0.0, and non-finite numbers rejected.  The fonts writer's
-%.17g is a fast path for the values this rule leaves alone.  Dict insertion
-order is preserved, which makes repeated seeded runs byte-identical.
+floats, -0.0 as 0.0, and non-finite numbers rejected.  _float_slots writes the
+same text for a whole array at once, for the fonts report, and hands each value
+its array passes cannot settle to format_float.  Dict insertion order is
+preserved, which makes repeated seeded runs byte-identical.
 """
 from __future__ import annotations
 
 import math
+from functools import cache
 from json.encoder import encode_basestring_ascii  # what json.dumps runs on a str
+
+import numpy as np
+
+# bytes of a value in _float_slots, NUL where its text has none: "[-]0.000D0" or "[-]D0."
+# right-aligned in 7, D1..D16, then "e-XX" or "e-XXX" in 5
+_SLOT = 28
+_DECADES = 282  # the decades k, 10**-k <= |x| < 10**(1 - k), of _float_slots' values: 1..281
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 
 
 def format_float(value: float) -> str:
@@ -20,6 +30,75 @@ def format_float(value: float) -> str:
         return "0.0"
     text = f"{value:.17g}"
     return text if any(c in text for c in ".eE") else text + ".0"
+
+
+@cache
+def _slot_tables() -> tuple[np.ndarray, ...]:
+    """_float_slots' tables, built on first use: 10**(16 + k) as hi + lo and hi's halves, the
+    4-digit ASCII groups (trailing zeros NUL from 10,000 on), the rest of a slot by sign, k, D0."""
+    hi = np.array([10 ** (16 + k) for k in range(_DECADES)], dtype=float)
+    lo = np.array([10 ** (16 + k) - int(h) for k, h in enumerate(hi.tolist())], dtype=float)
+    top = _SPLIT * hi - (_SPLIT * hi - hi)
+    digit = np.arange(48, 58, dtype=np.uint8)
+    groups = np.stack(np.broadcast_arrays(*np.ix_(digit, digit, digit, digit)), axis=-1)
+    kept = np.flip(np.logical_or.accumulate(np.flip(groups != 48, -1), -1), -1)
+    frames = np.zeros((2, _DECADES, 10, _SLOT), np.uint8)  # by sign, k and D0
+    frames[:, 1:5, :, 6] = frames[:, 5:, :, 5] = digit
+    frames[:, 5:, :, 6], frames[1, 5:, :, 4] = ord("."), ord("-")
+    for k in range(1, 5):  # fixed notation: "0." and k - 1 zeros before D0
+        lead = np.frombuffer(b"-0." + b"0" * (k - 1), np.uint8)
+        frames[:, k, :, 6 - lead.size:6], frames[0, k, :, 6 - lead.size] = lead, 0
+    exponents = np.array([b"e-%02d" % k for k in range(_DECADES)], dtype="S5")
+    frames[:, 5:, :, 23:] = exponents.view(np.uint8).reshape(-1, 1, 5)[5:]
+    tables = (hi, lo, top, hi - top, np.stack([groups, groups * kept]).view(np.uint32).ravel(),
+              frames.reshape(-1, _SLOT))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _float_slots(values: np.ndarray) -> np.ndarray:
+    """format_float of each value, equal to it value for value, as _SLOT ASCII bytes with NUL
+    where absent: shape values.shape + (_SLOT,).
+
+    Zeros and finite 1e-280 < |x| < 1 take array passes: in the decade k of |x| the digits
+    are N = round(|x| 10**(16 + k)), from Dekker's two-product, and N's 4-digit groups index
+    the ASCII table.  The other values, and those beside a power of ten or within 1e-9 of a
+    rounding tie, go through format_float, whose ValueError stays a non-finite value's error.
+    """
+    hi, lo, top, bottom, groups, frames = _slot_tables()
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a > 1e-280) & (a < 1.0)
+    a[~fast] = 0.5  # a stand-in with digits; the slots of these values are written below
+    k = -np.floor(np.log10(a)).astype(np.intp)
+    hi, lo, top, bottom = hi[k], lo[k], top[k], bottom[k]
+    a_top = _SPLIT * a - (_SPLIT * a - a)
+    a_bottom = a - a_top
+    ph = a * hi  # |x| 10**(16 + k) is ph + r to within 5e-15: r is ph's exact error, plus a lo
+    r = ((a_top * top - ph) + a_top * bottom + a_bottom * top) + a_bottom * bottom + a * lo
+    whole = np.rint(r)
+    # log10 can round into the next decade beside a power of ten; a near tie is not called
+    fast &= ((ph - 1e16) + r >= 0) & ((ph - 1e17) + r < 0) & (abs(abs(r - whole) - 0.5) > 1e-9)
+    n = ph.astype(np.int64) + whole.astype(np.int64)
+    carry = n == 10**17  # rounded up into the next decade
+    n[carry], k[carry] = 10**16, k[carry] - 1
+    high = n // 10**8
+    d0 = high // 10**8
+    halves = np.stack([high - d0 * 10**8, n - high * 10**8], axis=-1).astype(np.int32)
+    tops = halves // 10**4
+    g = np.stack([tops, halves - tops * 10**4], axis=-1).reshape(-1, 4)  # D1..D4 to D13..D16
+    last = np.ones(g.shape, bool)  # every later group is zero: this one drops its trailing zeros
+    for j in (2, 1, 0):
+        last[:, j] = last[:, j + 1] & (g[:, j + 1] == 0)
+    # clip: a value off the decade, left to format_float, can have D0 past 9
+    slots = np.take(frames, ((x < 0) * _DECADES + k) * 10 + d0, axis=0, mode="clip")
+    slots[:, 7:23] = np.take(groups, g + 10000 * last).view(np.uint8)
+    slots[last[:, 0] & (g[:, 0] == 0) & (k > 4), 6] = 0  # D0 alone takes no point: "1e-10"
+    slots[x == 0] = frames[10]  # sign +, k = 1, D0 = 0: "0.0", for -0.0 as well
+    for i in np.flatnonzero(~fast & (x != 0)).tolist():
+        slots[i] = np.frombuffer(format_float(x[i]).encode().ljust(_SLOT, b"\0"), np.uint8)
+    return slots.reshape(np.shape(values) + (_SLOT,))
 
 
 class Rendered(str):

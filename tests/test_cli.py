@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import gc
 import inspect
 import io
 import itertools
@@ -19,14 +20,18 @@ from tanglekit import (
     DensityOperator,
     Fonts,
     enumerate_fonts,
+    ghz,
     global_negativity,
     kway_negativity,
+    random_product_state,
     random_state,
     state_from_payload,
+    w_state,
 )
-from tanglekit import cli
+from tanglekit import cli, reporting
+from tanglekit.__main__ import run
 from tanglekit.cli import _fonts_json, main
-from tanglekit.reporting import format_float, render_json
+from tanglekit.reporting import _float_slots, format_float, render_json
 from tanglekit.states import _check_count
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -1081,7 +1086,8 @@ def hand_built_fonts(det_re, det_im, lambda_minus):
 
 
 class TestFontsWriter:
-    """The fonts writer on hand-built Fonts: the values %.17g would write unlike format_float."""
+    """The fonts writer on hand-built Fonts: the values %.17g writes unlike format_float, and
+    non-finite ones, which the array passes write as "0.0" or hand to format_float."""
 
     def test_rule_writes_every_value_where_17g_differs(self):
         rng = np.random.default_rng(2024)
@@ -1313,7 +1319,7 @@ class TestReportFormatting:
             format_float(float("inf"))
 
     def test_17g_is_the_rule_on_finite_non_integral_doubles(self):
-        # the fonts writer's fast path: %.17g wherever format_float would write the same
+        # format_float writes %.17g unchanged here: the text _float_slots reproduces
         rng = np.random.default_rng(2013)
         sign = rng.choice([-1.0, 1.0], size=4000)
         values = np.concatenate([
@@ -1338,6 +1344,70 @@ class TestReportFormatting:
     def test_strings_escaped_as_json_dumps(self):
         obj = {'quote " back \\ tab \t': "caf\u00e9 \u2028 \U0001f600 \x00"}
         assert render_json(obj) == json.dumps(obj)
+
+
+class TestFloatSlots:
+    """_float_slots against format_float, value for value, and the values it settles itself."""
+
+    @staticmethod
+    def assert_matches_the_rule(values):
+        values = np.asarray(values, dtype=float)
+        slots = _float_slots(values)
+        texts = [format_float(x).encode() for x in values.tolist()]
+        if slots[slots != 0].tobytes() == b"".join(texts):
+            return
+        for x, slot, text in zip(values, slots, texts):  # name the first value that differs
+            assert slot[slot != 0].tobytes() == text, x
+
+    def test_random_values(self):
+        rng = np.random.default_rng(33)
+        bits = rng.integers(0, 2**64, size=40_000, dtype=np.uint64).view(np.float64)  # any sign
+        sign = rng.choice([-1.0, 1.0], size=30_000)
+        self.assert_matches_the_rule(np.concatenate([
+            bits[np.isfinite(bits)], sign * rng.uniform(0.0, 1.0, size=30_000),
+            sign * 10.0 ** rng.uniform(-281.0, 0.0, size=30_000)]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # beside a power of ten log10 can round into the wrong decade
+        powers = np.array([float(f"1e-{k}") for k in range(1, 281)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0)])
+        self.assert_matches_the_rule(np.concatenate([values, -values]))
+
+    def test_zeros_subnormals_and_values_from_one_up(self):
+        rng = np.random.default_rng(34)
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-280, np.nextafter(1e-280, 1.0),
+                  np.nextafter(1.0, 0.0), 1.0, 1.5, 3.0, 2.0**52, 1e16, 1e17, 1.7976931348623157e308]
+        values += rng.integers(1, 2**52, size=2000).view(np.float64).tolist()  # subnormals
+        values += (10.0 ** rng.uniform(0.0, 308.0, size=2000)).tolist()
+        values += rng.integers(1, 2**53, size=2000).astype(float).tolist()
+        self.assert_matches_the_rule(np.concatenate([values, np.negative(values)]))
+
+    def test_dyadic_rationals(self):
+        # m 2**-e with short decimal expansions, some ending on a tie at the 17th digit
+        rng = np.random.default_rng(35)
+        short = rng.integers(1, 2**20, size=20_000) * 2.0 ** -rng.integers(1, 80, size=20_000)
+        self.assert_matches_the_rule(np.concatenate([short, 2.0 ** -np.arange(1, 1075)]))
+
+    def test_values_beside_a_rounding_tie(self):
+        # the doubles nearest to 17 digits followed by a 5, and their neighbours
+        rng = np.random.default_rng(36)
+        digits = rng.integers(10**16, 10**17, size=10_000).tolist()
+        decades = rng.integers(1, 281, size=10_000).tolist()
+        ties = np.array([float(f"{d}5e-{17 + k}") for d, k in zip(digits, decades)])
+        self.assert_matches_the_rule(
+            np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0), -ties]))
+
+    @pytest.mark.parametrize("make", [partial(random_state, 9, 33), partial(ghz, 9),
+                                      partial(random_product_state, 9, 33), partial(w_state, 9)],
+                             ids=["haar", "ghz", "product", "w"])
+    def test_fonts_reports_take_no_value_to_the_rule(self, make, monkeypatch):
+        # the array passes settle every value of these reports at n = 9
+        state = make()
+        rule, ruled = reporting.format_float, []
+        monkeypatch.setattr(reporting, "format_float", lambda x: ruled.append(x) or rule(x))
+        for p in (1, 5):
+            _fonts_json(enumerate_fonts(state, p), 9)
+        assert ruled == []
 
 
 class TestSubprocessEntryPoint:
@@ -1394,6 +1464,18 @@ class TestSubprocessEntryPoint:
         assert results[1:] == results[:1] * (len(results) - 1)
         assert results[0][0] == code, results[0][2]
         assert results[0][3] == (state.read_bytes() if str(out) in argv else None)
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["measure"], ["gen", "w", "1"]])
+    def test_run_freezes_the_heap_on_every_exit(self, argv, capsys, monkeypatch):
+        # argparse ends --version, --help and a usage error by raising SystemExit out of main
+        expected = run_cli(argv, capsys)
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["tanglekit", *argv])
+        with pytest.raises(SystemExit) as stop:
+            run()
+        assert (stop.value.code, *capsys.readouterr()) == expected
+        assert frozen == [True]
 
     def test_console_script_runs_run(self):
         tomllib = pytest.importorskip("tomllib")

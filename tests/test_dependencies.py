@@ -117,6 +117,13 @@ def integer_tests(node):
     return [name for name in imported(node, "operator") if name == "index"]
 
 
+def float_formats(node):
+    """A string, or a literal part of an f-string or of its format spec, with a .17g format."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value:
+        return [node.value]
+    return []
+
+
 # rule: (matcher, whether the outermost function owns a use, {name, or None for any: owner})
 RULES = {
     # each eigensolve and SVD goes through the spectra function that checks its input
@@ -137,6 +144,8 @@ RULES = {
     "count-message": (count_messages, False, {None: ("tanglekit/states.py", "_check_count")}),
     # an integer is told from a float, a string or a bool by the one integer rule
     "integer": (integer_tests, False, {None: ("tanglekit/states.py", "_check_integer")}),
+    # float text has one home: the one float rule writes every 17-digit format
+    "float-text": (float_formats, False, {None: ("tanglekit/reporting.py", "format_float")}),
 }
 
 
@@ -307,4 +316,22 @@ def test_integer_guard_sees_every_form():
     assert sorted(uses(tree, integer_tests), key=str) == [
         ("_check_integer", "operator.index"), ("load", "operator.index"),
         ("load", "type(n) is not int"), (None, "index"), (None, "type(3) is int"),
+    ]
+
+
+def test_float_text_guard_sees_every_form():
+    tree = ast.parse(
+        '"""Floats as %.17g."""\n'
+        "def format_float(value):\n"
+        '    return f"{value:.17g}"\n'
+        "def row(x, y):\n"
+        '    template = "%s: %.17g"\n'
+        "    return template % (x, y), format(y, '.17g'), f'{y:.16g}', '%.3f' % y\n"
+        "def block(values):\n"
+        '    return [f"{v:.17g}, " for v in values]\n'
+        'TOP = "{:.17g}"\n'
+    )
+    assert sorted(uses(tree, float_formats), key=str) == [
+        ("block", ".17g"), ("format_float", ".17g"), ("row", "%s: %.17g"), ("row", ".17g"),
+        (None, "{:.17g}"),
     ]

@@ -13,9 +13,10 @@ names each failed check on stderr, one line each with its residual and
 the tolerance.  ``measure`` and ``check`` compute each reported value in a
 stage; ``_run_stages`` runs ``measure``'s on one thread per CPU that the BLAS leaves
 free (see ``_stage_workers``; stdout does not depend on how many), ``check``'s on one.
-``measure --trace`` writes one JSON line per measure to stderr once all have
-finished (stage, route, dim, ms, and the worker that ran it, 0 being the
-calling thread), then one with the total ms and ru_maxrss after the report.
+``measure --trace`` writes, after the report, one JSON line per measure to stderr
+(stage, route, dim, ms, and the worker that ran it, 0 being the calling thread),
+then one with the total ms and ru_maxrss.  Stages return plain data, such as a
+``spectra.Fonts``, and ``render_json`` writes all of its text with the report.
 Each flag's fields are split here and checked by the library function that
 owns their rule (see ``states``), whose ValueError ``_checked`` makes a usage
 error; the qubit count a flag needs is checked by ``states._check_count``, and
@@ -36,8 +37,6 @@ import warnings
 from collections.abc import Callable
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from .invariants import (
     covariance_check_3,
@@ -48,8 +47,8 @@ from .invariants import (
     product_identity_residual,
     three_tangle,
 )
-from .reporting import _SLOT, Rendered, _float_slots, render_json
-from .spectra import Fonts, enumerate_fonts, global_negativity, kway_negativity
+from .reporting import render_json
+from .spectra import enumerate_fonts, global_negativity, kway_negativity
 from .spectra import _CLOSED_FORM, _kway_route  # the routes measure --trace names
 from .states import (
     PureState,
@@ -59,7 +58,6 @@ from .states import (
     cluster4,
     density,
     ghz,
-    index_to_bits,
     parse_qubit,
     random_product_state,
     random_state,
@@ -83,8 +81,6 @@ CHECK_TOL = 1e-8
 _GENERATORS = {"ghz": lambda n, seed: ghz(n), "w": lambda n, seed: w_state(n),
                "cluster4": lambda n, seed: cluster4(), "product": random_product_state,
                "random": random_state}
-# rows of a fonts report built as one byte array
-_FONT_BLOCK_ROWS = 1024
 # about 2 minutes of --lu-sweep at 4 qubits, at about 11 us a trial
 _MAX_SWEEP_TRIALS = 10_000_000
 # stage threads at most: each extra worker adds the working set of one stage,
@@ -184,42 +180,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise CliError(f"kind {kind!r} requires a qubit count")
     _write_report(state_to_payload(_checked(_GENERATORS[kind], n, args.seed)), args.out)
     return EXIT_OK
-
-
-def _fonts_json(fonts: Fonts, n: int) -> Rendered:
-    """The fonts as a JSON list of objects, one row of the Fonts columns each.
-
-    Each block of _FONT_BLOCK_ROWS rows is one byte array, a row of fixed-width fields
-    with NUL where a text is shorter than its field: the keys, the labels, k, the floats'
-    slots from _float_slots and negligible.  JSON text has no NUL, so dropping them leaves
-    the block's text, which goes into one buffer for the whole list.
-    """
-    label = np.array([index_to_bits(x, n) for x in range(2**n)], dtype=bytes)
-    ks, k_at = np.unique(fonts.k, return_inverse=True)
-    k_text = np.array([str(k) for k in ks.tolist()], dtype=bytes)
-    keys = [np.broadcast_to(np.frombuffer(key.encode(), np.uint8), (_FONT_BLOCK_ROWS, len(key)))
-            for key in (', {"i": "', '", "j": "', f'", "p": {fonts.p}, "k": ', ', "det_re": ',
-                        ', "det_im": ', ', "lambda_minus": ', ', "negligible": ')]
-    width = sum(key.shape[1] for key in keys) + 2 * n + k_text.itemsize + 3 * _SLOT + len("false}")
-    text = np.empty(2 + len(fonts) * width, np.uint8)  # "[", at most width bytes a row, "]"
-    text[0], end = ord("["), 1
-    for start in range(0, len(fonts), _FONT_BLOCK_ROWS):
-        block = slice(start, start + _FONT_BLOCK_ROWS)
-        slots = _float_slots(np.stack(
-            [fonts.det.real[block], fonts.det.imag[block], fonts.lambda_minus[block]], axis=-1))
-        i, j, k, negligible = (column.view(np.uint8).reshape(len(slots), -1) for column in (
-            label[fonts.i[block]], label[fonts.j[block]], k_text[k_at[block]],
-            np.where(fonts.negligible[block], b"true}", b"false}")))
-        values = (i, j, k, slots[:, 0], slots[:, 1], slots[:, 2], negligible)
-        table = np.concatenate([piece for key, value in zip(keys, values)
-                                for piece in (key[:len(value)], value)], axis=1)
-        rows = table[table != 0][2 if start == 0 else 0:]  # the first row has no ", "
-        text[end:end + rows.size] = rows
-        end += rows.size
-    text[end] = ord("]")
-    decoded = str(memoryview(text)[:end + 1], "ascii")
-    del text  # the buffer goes before Rendered copies the text
-    return Rendered(decoded)
 
 
 def _stage_workers(stages: int) -> int:
@@ -330,20 +290,18 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     for p, k in sorted(kway_pairs):
         key = f"kway_q{p}_k{k}"
         stages[key], routes[key] = partial(kway_negativity, state, p, k), _kway_route(n, k)
-    stages |= {f"fonts_q{p}": lambda p=p: _fonts_json(enumerate_fonts(state, p), n)
-               for p in font_qubits}
+    stages |= {f"fonts_q{p}": partial(enumerate_fonts, state, p) for p in font_qubits}
     if not stages:
         raise CliError("no measures requested")
 
     results = _run_stages(stages, _stage_workers(len(stages)))
-    if args.trace:
-        for key, (_, ms, worker) in results.items():
-            route, dim = routes.get(key, (_CLOSED_FORM, 2 ** (n - 1)))
-            _diagnose(json.dumps(dict(stage=key, route=route, dim=dim, ms=ms, worker=worker)))
     _write_report({key: value for key, (value, *_) in results.items()})
     if args.trace:
         import resource  # Unix only, so imported where the trace needs it
 
+        for key, (_, ms, worker) in results.items():
+            route, dim = routes.get(key, (_CLOSED_FORM, 2 ** (n - 1)))
+            _diagnose(json.dumps(dict(stage=key, route=route, dim=dim, ms=ms, worker=worker)))
         ms = round(1000.0 * (time.perf_counter() - started), 3)
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         _diagnose(json.dumps({"stage": "total", "ms": ms, "ru_maxrss": peak}))

@@ -1,25 +1,30 @@
-"""Deterministic JSON rendering for reports and state files.
+"""Deterministic JSON rendering: render_json writes all the text of reports and state files.
 
 format_float is the one float rule: 17 significant digits (round-trip exact
 for IEEE doubles), always a decimal point or exponent so they read back as
-floats, -0.0 as 0.0, and non-finite numbers rejected.  _float_slots writes the
-same text for a whole array at once, for the fonts report, and hands each value
-its array passes cannot settle to format_float.  Dict insertion order is
-preserved, which makes repeated seeded runs byte-identical.
+floats, -0.0 as 0.0, and non-finite numbers rejected.  _fonts_json writes a
+spectra.Fonts as the fonts report's rows, their floats by _float_slots, which
+hands each value its array passes cannot settle to format_float.  Dict
+insertion order is preserved, which makes repeated seeded runs byte-identical.
 """
 from __future__ import annotations
 
+import json.encoder  # its encode_basestring_ascii is what json.dumps runs on a str
 import math
 from functools import cache
-from json.encoder import encode_basestring_ascii  # what json.dumps runs on a str
 
 import numpy as np
+
+from .spectra import Fonts
+from .states import index_to_bits
 
 # bytes of a value in _float_slots, NUL where its text has none: "[-]0.000D0" or "[-]D0."
 # right-aligned in 7, D1..D16, then "e-XX" or "e-XXX" in 5
 _SLOT = 28
 _DECADES = 282  # the decades k, 10**-k <= |x| < 10**(1 - k), of _float_slots' values: 1..281
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+# rows of a fonts report built as one byte array
+_FONT_BLOCK_ROWS = 1024
 
 
 def format_float(value: float) -> str:
@@ -101,12 +106,43 @@ def _float_slots(values: np.ndarray) -> np.ndarray:
     return slots.reshape(np.shape(values) + (_SLOT,))
 
 
-class Rendered(str):
-    """JSON text that :func:`render_json` embeds unchanged."""
+def _fonts_json(fonts: Fonts) -> str:
+    """The fonts as a JSON list of objects, one row of the Fonts columns each.
+
+    Each block of _FONT_BLOCK_ROWS rows is one byte array, a row of fixed-width fields
+    with NUL where a text is shorter than its field: the keys, the labels, k, the floats'
+    slots from _float_slots and negligible.  JSON text has no NUL, so dropping them leaves
+    the block's text, which goes into one buffer for the whole list.
+    """
+    n = fonts.n_qubits
+    label = np.array([index_to_bits(x, n) for x in range(2**n)], dtype=bytes)
+    ks, k_at = np.unique(fonts.k, return_inverse=True)
+    k_text = np.array([str(k) for k in ks.tolist()], dtype=bytes)
+    keys = [np.broadcast_to(np.frombuffer(key.encode(), np.uint8), (_FONT_BLOCK_ROWS, len(key)))
+            for key in (', {"i": "', '", "j": "', f'", "p": {fonts.p}, "k": ', ', "det_re": ',
+                        ', "det_im": ', ', "lambda_minus": ', ', "negligible": ')]
+    width = sum(key.shape[1] for key in keys) + 2 * n + k_text.itemsize + 3 * _SLOT + len("false}")
+    text = np.empty(2 + len(fonts) * width, np.uint8)  # "[", at most width bytes a row, "]"
+    text[0], end = ord("["), 1
+    for start in range(0, len(fonts), _FONT_BLOCK_ROWS):
+        block = slice(start, start + _FONT_BLOCK_ROWS)
+        slots = _float_slots(np.stack(
+            [fonts.det.real[block], fonts.det.imag[block], fonts.lambda_minus[block]], axis=-1))
+        i, j, k, negligible = (column.view(np.uint8).reshape(len(slots), -1) for column in (
+            label[fonts.i[block]], label[fonts.j[block]], k_text[k_at[block]],
+            np.where(fonts.negligible[block], b"true}", b"false}")))
+        values = (i, j, k, slots[:, 0], slots[:, 1], slots[:, 2], negligible)
+        table = np.concatenate([piece for key, value in zip(keys, values)
+                                for piece in (key[:len(value)], value)], axis=1)
+        rows = table[table != 0][2 if start == 0 else 0:]  # the first row has no ", "
+        text[end:end + rows.size] = rows
+        end += rows.size
+    text[end] = ord("]")
+    return str(memoryview(text)[:end + 1], "ascii")
 
 
 def render_json(value) -> str:
-    """Serialize nested dicts/lists/scalars; floats via :func:`format_float`, Rendered as is."""
+    """Serialize nested dicts/lists/scalars, floats via :func:`format_float`, and a Fonts."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -114,13 +150,15 @@ def render_json(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        return value if isinstance(value, Rendered) else encode_basestring_ascii(value)
+        return json.encoder.encode_basestring_ascii(value)
     if isinstance(value, dict):
         pieces = [piece for k, v in value.items()
-                  for piece in (", ", encode_basestring_ascii(str(k)), ": ", render_json(v))]
+                  for piece in (", ", render_json(str(k)), ": ", render_json(v))]
         return _bracketed("{", pieces, "}")
     if isinstance(value, list):
         return _bracketed("[", [piece for v in value for piece in (", ", render_json(v))], "]")
+    if isinstance(value, Fonts):
+        return _fonts_json(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

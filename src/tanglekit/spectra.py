@@ -124,7 +124,9 @@ def kway_negativity(state: PureState, p: int, K: int) -> float:
     that sum to diag(mu, -mu) plus the rank-one z z^dag.  ``_half_size_factors``
     gives V and mu, and ``_kway_route`` names the route; at n = K = 2 it is
     ``global_negativity``'s closed form.  K must be an integer in [2, n], and
-    anything but a PureState raises TypeError.
+    anything but a PureState raises TypeError.  The value is unchanged by X on qubit p, a
+    phase (times X or not) on any other qubit and complex conjugation, and a qubit
+    permutation pi moves it: N_{j,K}(pi psi) = N_{pi(j),K}(psi).
     """
     if not isinstance(state, PureState):
         raise TypeError(f"kway_negativity takes a PureState, got {type(state).__name__}")
@@ -318,14 +320,15 @@ def _product(a: np.ndarray | complex, b: np.ndarray | complex) -> np.ndarray:
 class Fonts:
     """The fonts of the partial transpose with respect to qubit p, one row each.
 
-    Row r is spanned by the basis labels ``i[r]`` (bit p = 0) and ``j[r]``
-    (bit p = 1), integers with qubit 1 as the most significant bit; ``k[r]``
-    is their Hamming distance, ``det[r]`` the amplitude determinant and
-    ``lambda_minus[r] = -|det[r]|`` the font's negative eigenvalue.
-    ``negligible`` flags fonts whose determinant is zero to within
-    FONT_ZERO_TOL and therefore contribute no negativity.
+    Row r is spanned by the basis labels ``i[r]`` (bit p = 0) and ``j[r]`` (bit p = 1),
+    integers of n_qubits bits with qubit 1 as the most significant bit; ``k[r]`` is their
+    Hamming distance, ``det[r]`` the amplitude determinant and ``lambda_minus[r] = -|det[r]|``
+    the font's negative eigenvalue.  ``negligible`` flags fonts whose determinant is zero to
+    within FONT_ZERO_TOL and therefore contribute no negativity.  ``render_json`` writes a
+    Fonts as the rows of ``measure --fonts``.
     """
 
+    n_qubits: int
     p: int
     i: np.ndarray
     j: np.ndarray
@@ -356,7 +359,7 @@ def enumerate_fonts(state: PureState, p: int) -> Fonts:
     i, j = rows[0][u], rows[1][v]
     # the labels differ in bit p and in the rest bits u, v
     k = 1 + _rest_distance(n - 1)[u, v].astype(np.int64)
-    return Fonts(p, i, j, k, det, -magnitude, magnitude <= FONT_ZERO_TOL)
+    return Fonts(n, p, i, j, k, det, -magnitude, magnitude <= FONT_ZERO_TOL)
 
 
 def font_negativity_2q(state: PureState) -> float:

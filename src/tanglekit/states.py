@@ -33,14 +33,13 @@ TRACE_TOL = 1e-12
 
 
 def bits_to_index(bits: str | Sequence[int]) -> int:
-    """Integer encoding of a bit string, qubit 1 as the most significant bit."""
-    value = 0
-    for b in bits:
-        # int() alone would also read other scripts' digits, Arabic-Indic or fullwidth
-        if b not in ("0", "1", 0, 1):
-            raise ValueError(f"bit string may contain only 0 and 1, got {reprlib.repr(bits)}")
-        value = (value << 1) | int(b)
-    return value
+    """Integer encoding of a non-empty bit string or 0/1 sequence, qubit 1 the most significant."""
+    text = bits if isinstance(bits, str) else "".join(
+        "1" if b == 1 else "0" if b == 0 else "?" for b in bits)  # "?" for any other item
+    # int(text, 2) alone would also read '0b1', '+1', ' 01', '0_1' and other scripts' digits
+    if not text or text.strip("01"):
+        raise ValueError(f"bit string may contain only 0 and 1, got {reprlib.repr(bits)}")
+    return int(text, 2)
 
 
 def _label_index(bits: str | Sequence[int], n: int) -> int:

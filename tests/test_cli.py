@@ -30,7 +30,7 @@ from tanglekit import (
 )
 from tanglekit import cli, reporting
 from tanglekit.__main__ import run
-from tanglekit.cli import _fonts_json, main
+from tanglekit.cli import main
 from tanglekit.reporting import _float_slots, format_float, render_json
 from tanglekit.states import _check_count
 
@@ -285,7 +285,8 @@ class TestMeasure:
         assert err.count("\n") == 1 and "finite" in err
 
     @pytest.mark.parametrize(
-        "index", ["0\u0661", "\uff10\uff11"], ids=["arabic-indic", "fullwidth"]
+        "index", ["0\u0661", "\uff10\uff11", "+1", " 1"],
+        ids=["arabic-indic", "fullwidth", "plus", "space"],  # int(index, 2) reads each
     )
     def test_non_ascii_digit_index_is_bad_state(self, index, tmp_path, capsys):
         path = tmp_path / "digits.json"
@@ -1049,7 +1050,7 @@ class TestFontsReport:
     def test_matches_rendered_records_in_small_blocks(self, kind, rows, tmp_path, capsys,
                                                       monkeypatch):
         # 28 fonts at n = 4 fill their last block of 2 or 7; 120 at n = 5 leave one row over
-        monkeypatch.setattr(cli, "_FONT_BLOCK_ROWS", rows)
+        monkeypatch.setattr(reporting, "_FONT_BLOCK_ROWS", rows)
         for n in (4, 5):
             self.assert_matches_rendered_records(kind, n, range(1, n + 1), tmp_path, capsys)
 
@@ -1080,7 +1081,7 @@ def hand_built_fonts(det_re, det_im, lambda_minus):
     m = len(det_re)
     det = np.zeros(m, dtype=complex)
     det.real, det.imag = det_re, det_im  # x + 1j * y would turn -0.0 to 0.0 and inf to nan
-    return Fonts(1, np.zeros(m, dtype=np.int64), np.full(m, 0b101, dtype=np.int64),
+    return Fonts(3, 1, np.zeros(m, dtype=np.int64), np.full(m, 0b101, dtype=np.int64),
                  np.full(m, 2, dtype=np.int64), det, np.array(lambda_minus, dtype=float),
                  np.arange(m) % 2 == 0)
 
@@ -1101,11 +1102,11 @@ class TestFontsWriter:
         for columns in ([values, values, values], [values, [0.5] * len(values), [-0.5] * len(values)],
                         [[0.25] * len(values), [-0.75] * len(values), values]):
             fonts = hand_built_fonts(*columns)
-            assert_same_text(_fonts_json(fonts, 3), render_json(font_records(fonts, 3)))
+            assert_same_text(render_json(fonts), render_json(font_records(fonts, 3)))
 
     def test_negative_zero_column_prints_zero(self):
         fonts = hand_built_fonts([0.1], [-0.0], [-0.30000000000000004])
-        text = _fonts_json(fonts, 3)
+        text = render_json(fonts)
         assert_same_text(text, '[{"i": "000", "j": "101", "p": 1, "k": 2, '
                          '"det_re": 0.10000000000000001, "det_im": 0.0, '
                          '"lambda_minus": -0.30000000000000004, "negligible": true}]')
@@ -1119,24 +1120,24 @@ class TestFontsWriter:
         with pytest.raises(ValueError) as rule:
             format_float(bad)
         with pytest.raises(ValueError) as writer:
-            _fonts_json(hand_built_fonts(*columns), 3)
+            render_json(hand_built_fonts(*columns))
         assert str(writer.value) == str(rule.value)
 
     def test_ruled_rows_at_block_edges(self):
         # three full blocks and a short one; rows the rule writes open and close a block
-        block = cli._FONT_BLOCK_ROWS
+        block = reporting._FONT_BLOCK_ROWS
         values = np.random.default_rng(16).uniform(-1.0, 1.0, size=(3, 3 * block + 5))
         for r, ruled in zip([0, block - 1, block, 2 * block - 1, 3 * block, 3 * block + 4],
                             [0.0, -0.0, 3.0, -(2.0**52), 1e300, -1.0]):
             values[r % 3, r] = ruled
         fonts = hand_built_fonts(*values)
-        assert_same_text(_fonts_json(fonts, 3), render_json(font_records(fonts, 3)))
+        assert_same_text(render_json(fonts), render_json(font_records(fonts, 3)))
 
     def test_non_finite_in_a_later_block_leaves_stdout_empty(self, tmp_path, capsys,
                                                              monkeypatch):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
-        values = np.full((3, 2 * cli._FONT_BLOCK_ROWS + 3), 0.25)
-        values[1, cli._FONT_BLOCK_ROWS + 1] = float("nan")
+        values = np.full((3, 2 * reporting._FONT_BLOCK_ROWS + 3), 0.25)
+        values[1, reporting._FONT_BLOCK_ROWS + 1] = float("nan")
         monkeypatch.setattr(cli, "enumerate_fonts", lambda state, p: hand_built_fonts(*values))
         with pytest.raises(ValueError) as rule:
             format_float(float("nan"))
@@ -1145,8 +1146,8 @@ class TestFontsWriter:
         assert err == f"tanglekit: internal error: ValueError: {rule.value}\n"
 
     def test_one_qubit_has_no_fonts(self):
-        assert _fonts_json(enumerate_fonts(random_state(1, 0), 1), 1) == "[]"
-        assert _fonts_json(hand_built_fonts([], [], []), 3) == "[]"
+        assert render_json(enumerate_fonts(random_state(1, 0), 1)) == "[]"
+        assert render_json(hand_built_fonts([], [], [])) == "[]"
 
 
 class FullStdout(io.TextIOBase):
@@ -1163,8 +1164,9 @@ class TestStdoutWriteFailure:
     @pytest.mark.parametrize("argv", [
         ["gen", "ghz", "3"],
         ["measure", "STATE", "--tangle3"],
+        ["measure", "STATE", "--tangle3", "--trace"],  # no stage line before the error
         ["check", "STATE", "--decomposition"],
-    ], ids=["gen", "measure", "check"])
+    ], ids=["gen", "measure", "measure-trace", "check"])
     def test_failed_write_is_io_error(self, argv, tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path, "ghz3.json", "ghz", "3", capsys=capsys)
         monkeypatch.setattr(sys, "stdout", FullStdout())
@@ -1406,7 +1408,7 @@ class TestFloatSlots:
         rule, ruled = reporting.format_float, []
         monkeypatch.setattr(reporting, "format_float", lambda x: ruled.append(x) or rule(x))
         for p in (1, 5):
-            _fonts_json(enumerate_fonts(state, p), 9)
+            render_json(enumerate_fonts(state, p))
         assert ruled == []
 
 

@@ -99,6 +99,7 @@ def named(*names):
 
 digit_tests = named("isdigit", "isdecimal", "isnumeric")
 generator_uses = named("default_rng")
+report_text = named("_float_slots", "encode_basestring_ascii")
 
 
 def count_messages(node):
@@ -146,6 +147,10 @@ RULES = {
     "integer": (integer_tests, False, {None: ("tanglekit/states.py", "_check_integer")}),
     # float text has one home: the one float rule writes every 17-digit format
     "float-text": (float_formats, False, {None: ("tanglekit/reporting.py", "format_float")}),
+    # report text has one home: the fonts writer lays out array slots, render_json strings
+    "report-text": (report_text, False, {
+        "_float_slots": ("tanglekit/reporting.py", "_fonts_json"),
+        "encode_basestring_ascii": ("tanglekit/reporting.py", "render_json")}),
 }
 
 

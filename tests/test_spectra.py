@@ -44,6 +44,7 @@ from oracles import dense_kway_negativity
 
 INV_SQRT2 = 1 / np.sqrt(2)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_X = np.array([[0, 1], [1, 0]])
 
 
 def bell():
@@ -265,6 +266,60 @@ class TestGoldenFamilies:
         for K in range(2, n + 1):
             expected = 2.0 * math.sqrt(n - 1) / n if K == 2 else 0.0
             assert abs(kway_negativity(state, p, K) - expected) < 1e-13, K
+
+
+class TestSymmetries:
+    """K-way values under maps of basis labels that keep rest distances: no oracle is needed.
+
+    The transforms go through apply_local_unitary or a transpose of the amplitude tensor,
+    so they share no code with _rows or _parity_order.  A phase or a Haar unitary on qubit
+    p itself is not a symmetry: it moves the values by 0.02-0.2.
+    """
+
+    @pytest.fixture(scope="class", params=range(3, 10), ids=lambda n: f"n{n}")
+    def table(self, request):
+        """A random state, its qubits p (every one up to n = 8, 1 and n at 9), its (p, K) values."""
+        n = request.param
+        state = random_state(n, 800 + n)
+        qubits = range(1, n + 1) if n <= 8 else (1, n)
+        values = {(p, K): kway_negativity(state, p, K) for p in qubits for K in range(2, n + 1)}
+        return state, qubits, values
+
+    @staticmethod
+    def assert_values(moved, values, p, q):
+        """kway_negativity(moved, p, K) equals values[(q, K)] for every K."""
+        for K in range(2, moved.n_qubits + 1):
+            assert abs(kway_negativity(moved, p, K) - values[(q, K)]) < 1e-13, (p, K)
+
+    def test_local_monomials(self, table):
+        # X on qubit p, and a phase on every other qubit, times X on every second one
+        state, qubits, values = table
+        n = state.n_qubits
+        rng = np.random.default_rng(900 + n)
+        for p in qubits:
+            others = [q for q in range(1, n + 1) if q != p]
+            lus = [LocalUnitary(q, np.diag(np.exp(2j * np.pi * rng.random(2)))
+                                @ (PAULI_X if k % 2 else np.eye(2))) for k, q in enumerate(others)]
+            moved = apply_local_unitary(state, LocalUnitary(p, PAULI_X), *lus)
+            self.assert_values(moved, values, p, p)
+
+    def test_complex_conjugation(self, table):
+        state, qubits, values = table
+        moved = PureState(state.n_qubits, state.amplitudes.conj())
+        for p in qubits:
+            self.assert_values(moved, values, p, p)
+
+    def test_qubit_permutation(self, table):
+        # qubit j of the moved state is qubit pi(j) of state: N_{j,K}(pi psi) = N_{pi(j),K}(psi)
+        state, qubits, values = table
+        n = state.n_qubits
+        rng = np.random.default_rng(1000 + n)
+        # at n = 9, where only qubits 1 and 9 have values, pi swaps them
+        pi = list(rng.permutation(n) + 1) if n <= 8 else [n, *(rng.permutation(n - 2) + 2), 1]
+        tensor = state.amplitudes.reshape((2,) * n).transpose([q - 1 for q in pi])
+        moved = PureState(n, tensor.reshape(-1))
+        for j in qubits:
+            self.assert_values(moved, values, j, pi[j - 1])
 
 
 @pytest.mark.parametrize("m", range(10))

@@ -9,6 +9,7 @@ from tanglekit import (
     LocalUnitary,
     PureState,
     apply_local_unitary,
+    bits_to_index,
     cluster4,
     concurrence_2q,
     covariance_check_3,
@@ -332,6 +333,18 @@ class TestBasisIndex:
             density(random_state(2, 1)).element("00", bits)
         with pytest.raises(ValueError, match="only 0 and 1"):
             BasisIndex.from_string(bits)
+
+    @pytest.mark.parametrize("bits", [(1, 0, 1), [0, 1, 0, 1], "101", "0101", "1" * 10])
+    def test_bits_to_index_reads_a_string_or_a_sequence(self, bits):
+        assert bits_to_index(bits) == int("".join(map(str, bits)), 2)
+
+    @pytest.mark.parametrize("bits", ["", [], (), "0b1", "+1", " 01", "0_1", "2", "\u0661",
+                                      (0, 2), "01 "])
+    def test_bits_to_index_rejects_all_but_0_and_1(self, bits):
+        # int(bits, 2) reads '', '0b1', '+1', ' 01', '0_1', '\u0661' and '01 ' as numbers
+        with pytest.raises(ValueError) as error:
+            bits_to_index(bits)
+        assert str(error.value) == f"bit string may contain only 0 and 1, got {bits!r}"
 
     @pytest.mark.parametrize(
         "lookup",
